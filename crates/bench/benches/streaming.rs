@@ -31,7 +31,7 @@ fn streaming_vs_phased(c: &mut Criterion) {
                 run_conv_backend(
                     &ctx,
                     &keygen,
-                    &input,
+                    std::slice::from_ref(&input),
                     &kernel,
                     1,
                     (4, 4),
@@ -47,7 +47,7 @@ fn streaming_vs_phased(c: &mut Criterion) {
                 run_conv_backend(
                     &ctx,
                     &keygen,
-                    &input,
+                    std::slice::from_ref(&input),
                     &kernel,
                     1,
                     (4, 4),

@@ -29,7 +29,7 @@ use spot_core::executor::Executor;
 use spot_core::heconv::{ConvRequest, HeConvEngine};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
-use spot_core::session::{run_in_process_batched, ExecBackend, SchemeKind};
+use spot_core::session::{run_in_process, ExecBackend, SchemeKind};
 use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
 use spot_he::arch;
 use spot_he::evaluator::OpCounts;
@@ -257,7 +257,7 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
         let (mean_us, median_us, min_us) = time_us(reps, || {
             let mut r = StdRng::seed_from_u64(11);
             std::hint::black_box(
-                run_in_process_batched(
+                run_in_process(
                     &ctx,
                     &keygen,
                     &inputs,

@@ -109,7 +109,7 @@ fn main() {
         let (_, stats) = run_conv_backend(
             &ctx,
             &keygen,
-            &input,
+            std::slice::from_ref(&input),
             &kernel,
             1,
             (4, 4),

@@ -17,7 +17,6 @@ use crate::heconv::{ChannelMap, GroupSpec};
 use crate::layout::next_pow2;
 use crate::patching::PatchMode;
 use crate::session::{run_in_process, ExecBackend, SchemeKind};
-use crate::stream::{StreamConfig, StreamStats};
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -150,7 +149,8 @@ pub(crate) fn group_spec(geo: &ChannelwiseGeometry, out_ct: usize, c_out: usize)
 }
 
 /// Executes the channel-wise secure convolution end to end on a single
-/// thread (functional path used by tests and small workloads).
+/// thread (functional path used by tests and small workloads). Other
+/// backends and batches run through [`crate::session::run_in_process`].
 ///
 /// # Panics
 ///
@@ -164,88 +164,21 @@ pub fn execute<R: Rng>(
     stride: usize,
     rng: &mut R,
 ) -> SecureConvResult {
-    execute_with(ctx, keygen, input, kernel, stride, &Executor::serial(), rng)
-}
-
-/// Executes the channel-wise secure convolution with the per-input-
-/// ciphertext MIMO convolutions fanned across `executor`'s worker pool.
-///
-/// The cross-ciphertext partial sums are accumulated in input order on
-/// the calling thread, and all randomness stays sequential, so results
-/// are bit-identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if the shape does not fit the level (see [`geometry`]) or the
-/// session fails (in-process transports cannot fail in normal use).
-pub fn execute_with<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    executor: &Executor,
-    rng: &mut R,
-) -> SecureConvResult {
     run_in_process(
         ctx,
         keygen,
-        input,
+        std::slice::from_ref(input),
         kernel,
         stride,
         (0, 0),
         PatchMode::Vanilla,
         SchemeKind::Channelwise,
-        &ExecBackend::Phased(*executor),
+        &ExecBackend::Phased(Executor::serial()),
         rng,
     )
     .expect("in-process channelwise session")
-    .result
-}
-
-/// Executes the channel-wise secure convolution as a streamed upload:
-/// the client pushes every packed ciphertext through a bounded
-/// in-process transport, but because every output ciphertext needs
-/// **all** input ciphertexts ([`OutputDependency::AllInputs`]), no
-/// server job can start until the last upload lands — the measured
-/// server idle is the linear computation stall this baseline pays on
-/// tiny clients.
-///
-/// Client and server randomness are split from `rng` exactly as in the
-/// phased driver, so shares and op counts are bit-identical to
-/// [`execute_with`] for any worker count and channel capacity, given
-/// the same rng seed.
-///
-/// # Panics
-///
-/// Panics if the shape does not fit the level (see [`geometry`]) or the
-/// session fails (in-process transports cannot fail in normal use).
-pub fn execute_streaming<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (SecureConvResult, StreamStats) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        (0, 0),
-        PatchMode::Vanilla,
-        SchemeKind::Channelwise,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process channelwise session");
-    let stats = outcome
-        .stream
-        .expect("streaming backend reports stall stats");
-    (outcome.result, stats)
+    .into_results()
+    .remove(0)
 }
 
 /// Analytic operation counts for one input ciphertext (matches the

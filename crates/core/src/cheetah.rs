@@ -30,7 +30,6 @@ use crate::channelwise::SecureConvResult;
 use crate::executor::Executor;
 use crate::patching::PatchMode;
 use crate::session::{run_in_process, ExecBackend, SchemeKind};
-use crate::stream::{StreamConfig, StreamStats};
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -88,7 +87,8 @@ pub fn geometry(shape: &ConvShape, level: ParamLevel) -> CheetahGeometry {
 }
 
 /// Executes the Cheetah-style secure convolution (functional path) on a
-/// single thread.
+/// single thread. Other backends and batches run through
+/// [`crate::session::run_in_process`].
 ///
 /// # Panics
 ///
@@ -102,87 +102,21 @@ pub fn execute<R: Rng>(
     stride: usize,
     rng: &mut R,
 ) -> SecureConvResult {
-    execute_with(ctx, keygen, input, kernel, stride, &Executor::serial(), rng)
-}
-
-/// Executes the Cheetah-style secure convolution with the per-output-
-/// channel ring products fanned across `executor`'s worker pool.
-///
-/// Masking randomness is drawn sequentially in output-channel order on
-/// the server side, so results are bit-identical for every thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if the feature map does not fit the ring
-/// (`(H+k-1)(W+k-1) > N`); large maps are handled by the planner only.
-pub fn execute_with<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    executor: &Executor,
-    rng: &mut R,
-) -> SecureConvResult {
     run_in_process(
         ctx,
         keygen,
-        input,
+        std::slice::from_ref(input),
         kernel,
         stride,
         (0, 0),
         PatchMode::Vanilla,
         SchemeKind::Cheetah,
-        &ExecBackend::Phased(*executor),
+        &ExecBackend::Phased(Executor::serial()),
         rng,
     )
     .expect("in-process cheetah session")
-    .result
-}
-
-/// Executes the Cheetah-style secure convolution as a streamed upload:
-/// chunk ciphertexts flow through a bounded in-process transport, but
-/// every output channel's ring products sum over **all** chunks
-/// ([`OutputDependency::AllInputs`]), so the server's workers idle for
-/// the whole upload span — Cheetah keeps the linear computation stall
-/// despite its rotation-free convolution.
-///
-/// Client and server randomness are split from `rng` exactly as in the
-/// phased driver, so shares and op counts are bit-identical to
-/// [`execute_with`] for any worker count and channel capacity, given
-/// the same rng seed.
-///
-/// # Panics
-///
-/// Panics if the feature map does not fit the ring
-/// (`(H+k-1)(W+k-1) > N`); large maps are handled by the planner only.
-pub fn execute_streaming<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (SecureConvResult, StreamStats) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        (0, 0),
-        PatchMode::Vanilla,
-        SchemeKind::Cheetah,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process cheetah session");
-    let stats = outcome
-        .stream
-        .expect("streaming backend reports stall stats");
-    (outcome.result, stats)
+    .into_results()
+    .remove(0)
 }
 
 /// The smallest level Cheetah can use for a shape (the feature map plus

@@ -5,7 +5,7 @@
 
 use crate::executor::Executor;
 use crate::patching::PatchMode;
-use crate::session::{run_in_process, run_in_process_batched, SchemeKind};
+use crate::session::{run_in_process, SchemeKind};
 use crate::stream::StreamStats;
 use crate::{channelwise, cheetah, select, spot};
 
@@ -57,50 +57,20 @@ impl Scheme {
     }
 }
 
-/// Runs one secure convolution under `scheme` with the chosen backend
-/// (a thin wrapper over [`crate::session::run_in_process`]).
+/// Runs one secure-convolution session under `scheme` with the chosen
+/// backend over a batch of same-shape images (a thin wrapper over
+/// [`crate::session::run_in_process`]): shared ciphertexts for the
+/// slot-packed schemes, sequential images for Cheetah. Returns each
+/// image's functional result in submission order — op and ciphertext
+/// counts on the results are per batch — plus the measured
+/// [`StreamStats`] when the streaming backend ran (`None` for the
+/// phased backend).
 ///
-/// Returns the measured [`StreamStats`] when the streaming backend ran
-/// (`None` for the phased backend). Both backends draw randomness in
-/// the same order, so for a given rng seed the returned shares and op
-/// counts are bit-identical across backends, thread counts, and channel
-/// capacities.
+/// Both backends draw randomness in the same order, so for a given rng
+/// seed the returned shares and op counts are bit-identical across
+/// backends, thread counts, and channel capacities.
 #[allow(clippy::too_many_arguments)]
 pub fn run_conv_backend<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    scheme: Scheme,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> (channelwise::SecureConvResult, Option<StreamStats>) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        patch,
-        mode,
-        scheme.kind(),
-        backend,
-        rng,
-    )
-    .expect("in-process secure convolution session");
-    (outcome.result, outcome.stream)
-}
-
-/// [`run_conv_backend`] over a batch of same-shape images coalesced
-/// into one session (shared ciphertexts for the slot-packed schemes,
-/// sequential images for Cheetah). Returns each image's functional
-/// result in submission order; op and ciphertext counts on the results
-/// are per batch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_conv_backend_batched<R: Rng + Send>(
     ctx: &Arc<Context>,
     keygen: &KeyGenerator,
     inputs: &[Tensor],
@@ -112,7 +82,7 @@ pub fn run_conv_backend_batched<R: Rng + Send>(
     backend: &ExecBackend,
     rng: &mut R,
 ) -> (Vec<channelwise::SecureConvResult>, Option<StreamStats>) {
-    let outcome = run_in_process_batched(
+    let mut outcome = run_in_process(
         ctx,
         keygen,
         inputs,
@@ -124,8 +94,8 @@ pub fn run_conv_backend_batched<R: Rng + Send>(
         backend,
         rng,
     )
-    .expect("in-process batched secure convolution session");
-    let stream = outcome.stream.clone();
+    .expect("in-process secure convolution session");
+    let stream = outcome.stream.take();
     (outcome.into_results(), stream)
 }
 
@@ -344,10 +314,10 @@ impl TinyCnn {
                    chan: &mut Channel,
                    stats: &mut StreamStats,
                    rng: &mut R| {
-            let outcome = run_in_process(
+            let mut outcome = run_in_process(
                 ctx,
                 keygen,
-                input,
+                std::slice::from_ref(input),
                 kernel,
                 1,
                 (4, 4),
@@ -360,10 +330,10 @@ impl TinyCnn {
             // Charge the convolution's real framed wire traffic to the
             // protocol channel alongside the OT rounds.
             chan.charge_traffic(&outcome.uplink, &outcome.downlink);
-            if let Some(s) = outcome.stream {
+            if let Some(s) = outcome.stream.take() {
                 stats.accumulate(&s);
             }
-            outcome.result
+            outcome.into_results().remove(0)
         };
 
         // conv1 under HE

@@ -5,17 +5,19 @@
 //!
 //! * [`ClientConv`] — the tiny client: packs and encrypts the input,
 //!   streams ciphertexts up, then decrypts the masked results into its
-//!   additive share ([`ClientConv::send_all`] /
+//!   additive shares ([`ClientConv::send_all`] /
 //!   [`ClientConv::absorb_all`]).
 //! * [`serve_conv`] — the server: reads the [`ConvSetup`] hello,
 //!   validates the client's rotation keys, convolves under HE (phased
 //!   or streamed per [`ExecBackend`]), and returns masked results while
-//!   keeping its own additive share.
+//!   keeping its own additive shares.
 //!
-//! The same session code runs over [`MemTransport`] (in-process, used
-//! by every scheme's `execute*` entry point through
-//! [`run_in_process`]) and `TcpTransport` (two real OS processes) —
-//! messages, byte counts, and shares are identical by construction.
+//! A session carries a batch of `B ≥ 1` images; a one-image session is
+//! the degenerate batch, byte-identical on the wire to the pre-batching
+//! protocol. The same session code runs over [`MemTransport`]
+//! (in-process, through [`run_in_process`]) and `TcpTransport` (two
+//! real OS processes) — messages, byte counts, and shares are identical
+//! by construction.
 //!
 //! # Determinism contract
 //!
@@ -23,9 +25,9 @@
 //! order: the client draws its public key, then rotation keys, then
 //! every encryption in upload order; the server draws only result
 //! masks, in result order (the streaming consumer runs on one thread
-//! in index order). Parallel phases are pure. Shares are therefore
-//! bit-identical across backends, thread counts, channel capacities,
-//! and transports.
+//! in index order), after one per-image seed each when `B > 1`.
+//! Parallel phases are pure. Shares are therefore bit-identical across
+//! backends, thread counts, channel capacities, and transports.
 
 use crate::channelwise::{self, SecureConvResult};
 use crate::cheetah;
@@ -39,7 +41,7 @@ use crate::patching::{decompose, Decomposition, PatchMode};
 use crate::spot::{self, Blocking};
 use crate::stream::{run_stream, run_stream_barrier, StreamConfig, StreamStats};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::{BatchEncoder, BatchLayout, Plaintext};
@@ -560,24 +562,6 @@ fn draw_mask<R: Rng>(rng: &mut R, degree: usize, t: u64) -> Vec<u64> {
     (0..degree).map(|_| rng.gen_range(0..t)).collect()
 }
 
-/// Result-mask source for one served image: the session rng for
-/// unbatched layers (preserving the canonical draw order), or one
-/// per-image rng split off the session rng so every image's masks match
-/// an unbatched run seeded with that image's seed.
-enum MaskRng<'a, R: Rng> {
-    Session(&'a mut R),
-    Image(&'a mut StdRng),
-}
-
-impl<R: Rng> MaskRng<'_, R> {
-    fn draw(&mut self, degree: usize, t: u64) -> Vec<u64> {
-        match self {
-            MaskRng::Session(r) => draw_mask(&mut **r, degree, t),
-            MaskRng::Image(r) => draw_mask(&mut **r, degree, t),
-        }
-    }
-}
-
 /// One image's channel-wise packing for input ciphertext `j`: both
 /// lanes, channel blocks at group position 0 (the single-image layout
 /// [`channelwise_batch_layout`] interleaves into).
@@ -660,19 +644,8 @@ pub struct ClientSendSummary {
     pub input_cts: usize,
 }
 
-/// The client's completed download phase: its additive output share.
-#[derive(Debug, Clone)]
-pub struct ClientShare {
-    /// The client's additive share of the (strided) output tensor.
-    pub share: Tensor,
-    /// Decryptions performed.
-    pub decrypt: u64,
-    /// Masked result ciphertexts absorbed.
-    pub output_cts: usize,
-}
-
-/// The client's completed download phase for a batched upload: one
-/// additive output share per image, in submission order.
+/// The client's completed download phase: one additive output share
+/// per image, in submission order.
 #[derive(Debug, Clone)]
 pub struct ClientBatchShare {
     /// Per-image additive shares of the (strided) output tensors.
@@ -683,13 +656,14 @@ pub struct ClientBatchShare {
     pub output_cts: usize,
 }
 
-/// Client half of one secure-convolution layer.
+/// Client half of one secure-convolution layer over a batch of
+/// `B ≥ 1` images.
 ///
 /// Construct once per layer, then drive the two phases:
 /// [`ClientConv::send_all`] (hello, keys, encrypted upload) and
-/// [`ClientConv::absorb_all`] (masked results → additive share). The
-/// halves are independent, so over a socket transport they can run on
-/// two threads to overlap upload with download.
+/// [`ClientConv::absorb_all`] (masked results → one additive share per
+/// image). The halves are independent, so over a socket transport they
+/// can run on two threads to overlap upload with download.
 pub struct ClientConv<'a> {
     ctx: Arc<Context>,
     keygen: &'a KeyGenerator,
@@ -716,164 +690,60 @@ impl<'a> ClientConv<'a> {
         })
     }
 
-    /// Number of input ciphertexts the upload phase will send.
-    pub fn input_cts(&self) -> usize {
+    /// Input ciphertexts the upload of a `batch`-image session sends:
+    /// the slot-packed schemes share theirs across the batch, Cheetah
+    /// sends one set per image.
+    pub fn input_cts(&self, batch: usize) -> usize {
         match &self.detail {
             PlanDetail::Channelwise { geo, .. } => geo.input_cts,
-            PlanDetail::Cheetah { geo } => geo.input_cts,
+            PlanDetail::Cheetah { geo } => batch * geo.input_cts,
             PlanDetail::Spot { input_cts, .. } => *input_cts,
         }
     }
 
-    /// Number of masked result ciphertexts the download phase expects.
-    pub fn output_cts(&self) -> usize {
+    /// Masked result ciphertexts the download of a `batch`-image
+    /// session expects (shared or per image as in
+    /// [`ClientConv::input_cts`]).
+    pub fn output_cts(&self, batch: usize) -> usize {
         match &self.detail {
             PlanDetail::Channelwise { geo, .. } => geo.output_cts,
-            PlanDetail::Cheetah { .. } => self.spec.shape.c_out,
+            PlanDetail::Cheetah { .. } => batch * self.spec.shape.c_out,
             PlanDetail::Spot { blk, input_cts, .. } => input_cts * blk.out_groups,
         }
     }
 
-    /// Upload phase: sends the layer hello, public-key-independent
-    /// rotation keys, and every packed input ciphertext. Draws the
-    /// public key first, then rotation keys, then encryptions in upload
-    /// order — the canonical client rng sequence. With
-    /// [`UploadPacing::AwaitAck`] the input ciphertexts are held until
-    /// the server's setup acknowledgement arrives on the downlink.
-    pub fn send_all<R: Rng>(
-        &self,
-        transport: &dyn Transport,
-        input: &Tensor,
-        pacing: UploadPacing,
-        rng: &mut R,
-    ) -> Result<ClientSendSummary, SpotError> {
-        // When wire trace context is on, the hello carries a trace id
-        // that the server echoes into its serve span — the merge tool
-        // pairs the two layer spans by this value.
-        let trace_id = spot_trace::next_wire_trace_id();
-        let mut span = spot_trace::span_owned(Cat::Session, || {
-            format!("send_all {}", self.spec.scheme.name())
-        })
-        .arg("input_cts", self.input_cts() as u64);
-        if trace_id != 0 {
-            span = span.arg("trace", trace_id);
-        }
-        let _span = span;
-        let shape = &self.spec.shape;
-        if input.channels() != shape.c_in
-            || input.height() != shape.height
-            || input.width() != shape.width
-        {
-            return Err(SpotError::Protocol(format!(
-                "input tensor {}x{}x{} does not match layer spec {}x{}x{}",
-                input.channels(),
-                input.height(),
-                input.width(),
-                shape.c_in,
-                shape.height,
-                shape.width
-            )));
-        }
-        let mut setup = self.spec.to_setup(self.ctx.params().level());
-        setup.trace = trace_id;
-        transport.send(&WireMessage::Setup(setup))?;
-        let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
-        if !self.elements.is_empty() {
-            let gk = self.keygen.galois_keys(&self.elements, rng);
-            transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&gk)))?;
-        }
-        if pacing == UploadPacing::AwaitAck {
-            let msg = transport.recv()?;
-            let WireMessage::LayerBarrier { .. } = msg else {
-                return Err(unexpected(&msg, "LayerBarrier"));
-            };
-        }
-        let t = self.ctx.params().plain_modulus();
-        let n = self.ctx.degree();
-        let mut encrypt = 0u64;
-        let mut seq = 0u32;
-        match &self.detail {
-            PlanDetail::Channelwise { geo, layout, .. } => {
-                let encoder = BatchEncoder::new(&self.ctx);
-                for j in 0..geo.input_cts {
-                    let slots = channelwise_image_slots(geo, layout, shape, input, j, t, n);
-                    let ct = encryptor.encrypt(&encoder.encode(&slots), rng);
-                    encrypt += 1;
-                    transport.send(&WireMessage::PackedCt {
-                        seq,
-                        blob: ct.to_bytes(),
-                    })?;
-                    seq += 1;
-                }
-            }
-            PlanDetail::Cheetah { geo } => {
-                let all_channels: Vec<usize> = (0..shape.c_in).collect();
-                for chunk in all_channels.chunks(geo.channels_per_ct) {
-                    let coeffs = cheetah_chunk_coeffs(shape, input, chunk, t, n);
-                    let ct = encryptor.encrypt(&Plaintext::from_coeffs(coeffs), rng);
-                    encrypt += 1;
-                    transport.send(&WireMessage::PackedCt {
-                        seq,
-                        blob: ct.to_bytes(),
-                    })?;
-                    seq += 1;
-                }
-            }
-            PlanDetail::Spot { blk, layouts, .. } => {
-                let encoder = BatchEncoder::new(&self.ctx);
-                let decomp = decompose(
-                    input,
-                    self.spec.patch.0,
-                    self.spec.patch.1,
-                    shape.k_h,
-                    self.spec.mode,
-                );
-                for (ci, (_class, pieces)) in decomp.classes.iter().enumerate() {
-                    let layout = &layouts[ci];
-                    let packed = if blk.split {
-                        pack_pieces_split(layout, pieces, t)
-                    } else {
-                        pack_pieces(layout, pieces, t)
-                    };
-                    for slots in &packed {
-                        let ct = encryptor.encrypt(&encoder.encode(slots), rng);
-                        encrypt += 1;
-                        let blob = ct.to_bytes();
-                        let msg = if ci == 0 {
-                            WireMessage::PackedCt { seq, blob }
-                        } else {
-                            WireMessage::AuxCt {
-                                class: ci as u16,
-                                seq,
-                                blob,
-                            }
-                        };
-                        transport.send(&msg)?;
-                        seq += 1;
-                    }
-                }
-            }
-        }
-        Ok(ClientSendSummary {
-            encrypt,
-            input_cts: seq as usize,
-        })
-    }
-
-    /// How many queued images this layer can coalesce into one upload:
+    /// How many queued images this layer can coalesce into one session:
     /// the spare SIMD-slot positions of the layer's packing (Cheetah
     /// batches as sequential images bounded only by the wire field).
     pub fn batch_capacity(&self) -> usize {
         plan_batch_capacity(&self.detail)
     }
 
-    /// Upload phase for a batch of images sharing one session: the
-    /// slot-packed schemes interleave every image's packing into the
-    /// same ciphertexts ([`BatchLayout::pack_images`]), so the upload —
-    /// and the server's rotations and key-switches — stay those of a
-    /// single image. A one-image batch delegates to
-    /// [`ClientConv::send_all`] and is wire-identical to it.
-    pub fn send_all_batched<R: Rng>(
+    /// Rejects a batch width this layer cannot carry in one session.
+    fn check_batch(&self, batch: usize) -> Result<(), SpotError> {
+        let cap = self.batch_capacity();
+        if batch == 0 || batch > cap {
+            return Err(SpotError::Protocol(format!(
+                "batch of {batch} images outside layer capacity 1..={cap}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Upload phase: sends the layer hello, public-key-independent
+    /// rotation keys, and every packed input ciphertext of the batch.
+    /// The slot-packed schemes interleave every image's packing into
+    /// the same ciphertexts ([`BatchLayout::pack_images`]), so the
+    /// upload — and the server's rotations and key-switches — stay
+    /// those of one image; Cheetah sends the images in sequence.
+    ///
+    /// Draws the public key first, then rotation keys, then encryptions
+    /// in upload order — the canonical client rng sequence. A one-image
+    /// batch leaves the hello's reserved `batch` byte at 0, so its wire
+    /// bytes are those of the pre-batching protocol. With
+    /// [`UploadPacing::AwaitAck`] the input ciphertexts are held until
+    /// the server's setup acknowledgement arrives on the downlink.
+    pub fn send_all<R: Rng>(
         &self,
         transport: &dyn Transport,
         inputs: &[Tensor],
@@ -881,23 +751,15 @@ impl<'a> ClientConv<'a> {
         rng: &mut R,
     ) -> Result<ClientSendSummary, SpotError> {
         let batch = inputs.len();
-        if batch <= 1 {
-            let input = inputs
-                .first()
-                .ok_or_else(|| SpotError::Protocol("empty input batch".into()))?;
-            return self.send_all(transport, input, pacing, rng);
-        }
-        let cap = self.batch_capacity().min(MAX_BATCH);
-        if batch > cap {
-            return Err(SpotError::Protocol(format!(
-                "batch of {batch} images exceeds layer capacity {cap}"
-            )));
-        }
+        self.check_batch(batch)?;
+        // When wire trace context is on, the hello carries a trace id
+        // that the server echoes into its serve span — the merge tool
+        // pairs the two layer spans by this value.
         let trace_id = spot_trace::next_wire_trace_id();
         let mut span = spot_trace::span_owned(Cat::Session, || {
-            format!("send_all_batched {}", self.spec.scheme.name())
+            format!("send_all {}", self.spec.scheme.name())
         })
-        .arg("batch", batch as u64);
+        .arg("input_cts", self.input_cts(batch) as u64);
         if trace_id != 0 {
             span = span.arg("trace", trace_id);
         }
@@ -920,7 +782,7 @@ impl<'a> ClientConv<'a> {
             }
         }
         let mut setup = self.spec.to_setup(self.ctx.params().level());
-        setup.batch = batch as u8;
+        setup.batch = if batch == 1 { 0 } else { batch as u8 };
         setup.trace = trace_id;
         transport.send(&WireMessage::Setup(setup))?;
         let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
@@ -938,6 +800,25 @@ impl<'a> ClientConv<'a> {
         let n = self.ctx.degree();
         let mut encrypt = 0u64;
         let mut seq = 0u32;
+        // Encrypts one packed plaintext and sends it as the next input
+        // ciphertext of `class` (class 0 rides in `PackedCt`, SPOT seam
+        // classes in `AuxCt`).
+        let mut upload = |plain: &Plaintext, class: usize| -> Result<(), SpotError> {
+            let blob = encryptor.encrypt(plain, rng).to_bytes();
+            encrypt += 1;
+            let msg = if class == 0 {
+                WireMessage::PackedCt { seq, blob }
+            } else {
+                WireMessage::AuxCt {
+                    class: class as u16,
+                    seq,
+                    blob,
+                }
+            };
+            transport.send(&msg)?;
+            seq += 1;
+            Ok(())
+        };
         match &self.detail {
             PlanDetail::Channelwise { geo, layout, .. } => {
                 let encoder = BatchEncoder::new(&self.ctx);
@@ -947,14 +828,7 @@ impl<'a> ClientConv<'a> {
                         .iter()
                         .map(|img| channelwise_image_slots(geo, layout, shape, img, j, t, n))
                         .collect();
-                    let slots = blayout.pack_images(&rows);
-                    let ct = encryptor.encrypt(&encoder.encode(&slots), rng);
-                    encrypt += 1;
-                    transport.send(&WireMessage::PackedCt {
-                        seq,
-                        blob: ct.to_bytes(),
-                    })?;
-                    seq += 1;
+                    upload(&encoder.encode(&blayout.pack_images(&rows)), 0)?;
                 }
             }
             PlanDetail::Cheetah { geo } => {
@@ -965,13 +839,7 @@ impl<'a> ClientConv<'a> {
                 for img in inputs {
                     for chunk in all_channels.chunks(geo.channels_per_ct) {
                         let coeffs = cheetah_chunk_coeffs(shape, img, chunk, t, n);
-                        let ct = encryptor.encrypt(&Plaintext::from_coeffs(coeffs), rng);
-                        encrypt += 1;
-                        transport.send(&WireMessage::PackedCt {
-                            seq,
-                            blob: ct.to_bytes(),
-                        })?;
-                        seq += 1;
+                        upload(&Plaintext::from_coeffs(coeffs), 0)?;
                     }
                 }
             }
@@ -983,57 +851,45 @@ impl<'a> ClientConv<'a> {
                 ..
             } => {
                 let encoder = BatchEncoder::new(&self.ctx);
-                // The capacity check above guarantees every non-empty
-                // class packs into exactly one ciphertext per image.
-                let mut per_image: Vec<Vec<Vec<Vec<u64>>>> = inputs
+                let decomps: Vec<Decomposition> = inputs
                     .iter()
                     .map(|img| {
-                        let decomp = decompose(
+                        decompose(
                             img,
                             self.spec.patch.0,
                             self.spec.patch.1,
                             shape.k_h,
                             self.spec.mode,
-                        );
-                        decomp
-                            .classes
-                            .iter()
-                            .enumerate()
-                            .map(|(ci, (_class, pieces))| {
-                                let layout = &layouts[ci];
-                                if blk.split {
-                                    pack_pieces_split(layout, pieces, t)
-                                } else {
-                                    pack_pieces(layout, pieces, t)
-                                }
-                            })
-                            .collect()
+                        )
                     })
                     .collect();
+                // Pack one class for every image, then encrypt and send
+                // it before packing the next, so the first ciphertext
+                // leaves as early as possible. A batch of several images
+                // only runs on layers whose classes fit one ciphertext
+                // (see `plan_batch_capacity`).
                 for (ci, (_class, pieces)) in probe.classes.iter().enumerate() {
-                    if class_cts[ci] == 0 {
-                        continue;
-                    }
-                    let blayout = spot_batch_layout(blk, &layouts[ci], pieces.len());
-                    let rows: Vec<Vec<u64>> = per_image
-                        .iter_mut()
-                        .map(|classes| classes[ci].pop().expect("one ciphertext per class"))
+                    let layout = &layouts[ci];
+                    let blayout = spot_batch_layout(blk, layout, pieces.len());
+                    let mut packed: Vec<_> = decomps
+                        .iter()
+                        .map(|d| {
+                            let pieces = &d.classes[ci].1;
+                            if blk.split {
+                                pack_pieces_split(layout, pieces, t)
+                            } else {
+                                pack_pieces(layout, pieces, t)
+                            }
+                            .into_iter()
+                        })
                         .collect();
-                    let slots = blayout.pack_images(&rows);
-                    let ct = encryptor.encrypt(&encoder.encode(&slots), rng);
-                    encrypt += 1;
-                    let blob = ct.to_bytes();
-                    let msg = if ci == 0 {
-                        WireMessage::PackedCt { seq, blob }
-                    } else {
-                        WireMessage::AuxCt {
-                            class: ci as u16,
-                            seq,
-                            blob,
-                        }
-                    };
-                    transport.send(&msg)?;
-                    seq += 1;
+                    for _ in 0..class_cts[ci] {
+                        let rows: Vec<Vec<u64>> = packed
+                            .iter_mut()
+                            .map(|cts| cts.next().expect("class ciphertext per image"))
+                            .collect();
+                        upload(&encoder.encode(&blayout.pack_images(&rows)), ci)?;
+                    }
                 }
             }
         }
@@ -1044,19 +900,77 @@ impl<'a> ClientConv<'a> {
     }
 
     /// Download phase: receives every masked result, decrypts, and
-    /// assembles the client's additive share. Needs no randomness, so
-    /// it can run concurrently with [`ClientConv::send_all`] over a
-    /// socket transport.
-    pub fn absorb_all(&self, transport: &dyn Transport) -> Result<ClientShare, SpotError> {
-        let expected = self.output_cts();
+    /// assembles each image's additive share — demultiplexing its slot
+    /// positions ([`BatchLayout::unpack_image`]) first for the
+    /// slot-packed schemes. `batch` is the uploaded batch width. Needs
+    /// no randomness, so it can run concurrently with
+    /// [`ClientConv::send_all`] over a socket transport.
+    pub fn absorb_all(
+        &self,
+        transport: &dyn Transport,
+        batch: usize,
+    ) -> Result<ClientBatchShare, SpotError> {
+        self.check_batch(batch)?;
+        let expected = self.output_cts(batch);
         let _span = spot_trace::span_owned(Cat::Session, || {
             format!("absorb_all {}", self.spec.scheme.name())
         })
-        .arg("output_cts", expected as u64);
+        .arg("output_cts", expected as u64)
+        .arg("batch", batch as u64);
         let (mut decoded, decrypt) = self.receive_decoded(transport, expected)?;
-        let share = self.share_from_decoded(&mut decoded);
-        Ok(ClientShare {
-            share,
+        let shares = match &self.detail {
+            PlanDetail::Channelwise { layout, .. } => {
+                let blayout = channelwise_batch_layout(layout);
+                (0..batch)
+                    .map(|b| {
+                        let mut img: Vec<Vec<u64>> = decoded
+                            .iter()
+                            .map(|row| blayout.unpack_image(row, b))
+                            .collect();
+                        self.share_from_decoded(&mut img)
+                    })
+                    .collect()
+            }
+            // Sequential images: every image has its own result cts.
+            PlanDetail::Cheetah { .. } => decoded
+                .chunks_mut(self.spec.shape.c_out)
+                .map(|img| self.share_from_decoded(img))
+                .collect(),
+            PlanDetail::Spot {
+                blk,
+                probe,
+                layouts,
+                class_cts,
+                groups,
+                ..
+            } => {
+                let blayouts: Vec<BatchLayout> = layouts
+                    .iter()
+                    .zip(&probe.classes)
+                    .map(|(lay, (_class, pieces))| spot_batch_layout(blk, lay, pieces.len()))
+                    .collect();
+                let out_groups = groups.len();
+                // Result row index → class, mirroring the send order:
+                // each class ct contributes `out_groups` result rows.
+                let row_class: Vec<usize> = class_cts
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(ci, &cnt)| std::iter::repeat_n(ci, cnt * out_groups))
+                    .collect();
+                (0..batch)
+                    .map(|b| {
+                        let mut img: Vec<Vec<u64>> = decoded
+                            .iter()
+                            .enumerate()
+                            .map(|(row, values)| blayouts[row_class[row]].unpack_image(values, b))
+                            .collect();
+                        self.share_from_decoded(&mut img)
+                    })
+                    .collect()
+            }
+        };
+        Ok(ClientBatchShare {
+            shares,
             decrypt,
             output_cts: expected,
         })
@@ -1201,101 +1115,6 @@ impl<'a> ClientConv<'a> {
             }
         }
     }
-
-    /// Download phase for a batched upload: receives the shared masked
-    /// results, then demultiplexes each image's slot positions
-    /// ([`BatchLayout::unpack_image`]) before running the ordinary
-    /// single-image share assembly. Image `b`'s share is bit-identical
-    /// to an unbatched run whose server mask rng was seeded with image
-    /// `b`'s per-image seed. A one-image batch delegates to
-    /// [`ClientConv::absorb_all`].
-    pub fn absorb_all_batched(
-        &self,
-        transport: &dyn Transport,
-        batch: usize,
-    ) -> Result<ClientBatchShare, SpotError> {
-        if batch <= 1 {
-            let one = self.absorb_all(transport)?;
-            return Ok(ClientBatchShare {
-                shares: vec![one.share],
-                decrypt: one.decrypt,
-                output_cts: one.output_cts,
-            });
-        }
-        let expected = match &self.detail {
-            // Sequential images: every image has its own result cts.
-            PlanDetail::Cheetah { .. } => batch * self.spec.shape.c_out,
-            // Shared ciphertexts: the result count is that of one image.
-            _ => self.output_cts(),
-        };
-        let _span = spot_trace::span_owned(Cat::Session, || {
-            format!("absorb_all_batched {}", self.spec.scheme.name())
-        })
-        .arg("output_cts", expected as u64)
-        .arg("batch", batch as u64);
-        let (decoded, decrypt) = self.receive_decoded(transport, expected)?;
-        let shares = match &self.detail {
-            PlanDetail::Channelwise { layout, .. } => {
-                let blayout = channelwise_batch_layout(layout);
-                (0..batch)
-                    .map(|b| {
-                        let mut img: Vec<Vec<u64>> = decoded
-                            .iter()
-                            .map(|row| blayout.unpack_image(row, b))
-                            .collect();
-                        self.share_from_decoded(&mut img)
-                    })
-                    .collect()
-            }
-            PlanDetail::Cheetah { .. } => {
-                let c_out = self.spec.shape.c_out;
-                let mut shares = Vec::with_capacity(batch);
-                let mut rows = decoded.into_iter();
-                for _ in 0..batch {
-                    let mut img: Vec<Vec<u64>> = rows.by_ref().take(c_out).collect();
-                    shares.push(self.share_from_decoded(&mut img));
-                }
-                shares
-            }
-            PlanDetail::Spot {
-                blk,
-                probe,
-                layouts,
-                class_cts,
-                groups,
-                ..
-            } => {
-                let blayouts: Vec<BatchLayout> = layouts
-                    .iter()
-                    .zip(&probe.classes)
-                    .map(|(lay, (_class, pieces))| spot_batch_layout(blk, lay, pieces.len()))
-                    .collect();
-                let out_groups = groups.len();
-                // Result row index → class, mirroring the send order:
-                // each class ct contributes `out_groups` result rows.
-                let row_class: Vec<usize> = class_cts
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(ci, &cnt)| std::iter::repeat_n(ci, cnt * out_groups))
-                    .collect();
-                (0..batch)
-                    .map(|b| {
-                        let mut img: Vec<Vec<u64>> = decoded
-                            .iter()
-                            .enumerate()
-                            .map(|(row, values)| blayouts[row_class[row]].unpack_image(values, b))
-                            .collect();
-                        self.share_from_decoded(&mut img)
-                    })
-                    .collect()
-            }
-        };
-        Ok(ClientBatchShare {
-            shares,
-            decrypt,
-            output_cts: expected,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1362,12 +1181,9 @@ pub struct ServeOptions<'a> {
 /// Outcome of one served convolution layer.
 #[derive(Debug)]
 pub struct ServerConvSummary {
-    /// The server's additive share of the (strided) output tensor
-    /// (image 0 of a batched layer).
-    pub server_share: Tensor,
-    /// Server shares of batched images 1.. (empty for an unbatched
-    /// layer).
-    pub extra_shares: Vec<Tensor>,
+    /// The server's additive share of each image's (strided) output
+    /// tensor, in submission order.
+    pub server_shares: Vec<Tensor>,
     /// HE operations performed on the server (per batch, not per
     /// image — slot batching leaves these unchanged as the batch
     /// width grows).
@@ -1492,18 +1308,23 @@ pub fn serve_conv_with<R: Rng>(
     // stall window instead of pre-buffering in the transport while the
     // server is still deserializing rotation keys.
     transport.send(&WireMessage::LayerBarrier { layer: 0 })?;
-    // A batched layer splits one rng per image off the session rng (a
-    // fixed `batch` draws, before any mask), so image `b`'s masks — and
-    // therefore both parties' shares — are bit-identical to an
-    // unbatched run whose server rng was seeded with seed `b`. An
-    // unbatched layer draws nothing here, keeping the canonical
-    // mask-only rng order.
-    let mut batch_rngs: Vec<StdRng> = if batch > 1 {
-        (0..batch)
-            .map(|_| StdRng::seed_from_u64(rng.gen()))
-            .collect()
+    // One result-mask source per image. A one-image session draws its
+    // masks straight from the session rng, the canonical mask-only
+    // order. A batch first splits one rng per image off it (a fixed
+    // `batch` draws, before any mask), so image `b`'s masks — and
+    // therefore both parties' shares — are bit-identical to a one-image
+    // run whose server rng was seeded with seed `b`.
+    let mut image_rngs: Vec<StdRng>;
+    let mut masks: Vec<&mut dyn RngCore> = if batch == 1 {
+        vec![rng as &mut dyn RngCore]
     } else {
-        Vec::new()
+        image_rngs = (0..batch)
+            .map(|_| StdRng::seed_from_u64(rng.gen()))
+            .collect();
+        image_rngs
+            .iter_mut()
+            .map(|r| r as &mut dyn RngCore)
+            .collect()
     };
     // One kernel cache per patch class (channel-wise: a single class).
     // With `opts.shared` these come from the per-model pool, so every
@@ -1537,21 +1358,11 @@ pub fn serve_conv_with<R: Rng>(
             galois,
             caches.into_iter().next().expect("one channelwise cache"),
             backend,
-            batch,
-            &mut batch_rngs,
-            rng,
+            &mut masks,
         ),
-        PlanDetail::Cheetah { geo } => serve_cheetah(
-            ctx,
-            transport,
-            kernel,
-            &spec,
-            &geo,
-            backend,
-            batch,
-            &mut batch_rngs,
-            rng,
-        ),
+        PlanDetail::Cheetah { geo } => {
+            serve_cheetah(ctx, transport, kernel, &spec, &geo, backend, &mut masks)
+        }
         PlanDetail::Spot {
             blk,
             probe,
@@ -1561,23 +1372,8 @@ pub fn serve_conv_with<R: Rng>(
             in_maps,
             input_cts,
         } => serve_spot(
-            ctx,
-            transport,
-            kernel,
-            &spec,
-            &blk,
-            &probe,
-            &layouts,
-            &class_cts,
-            &groups,
-            &in_maps,
-            input_cts,
-            galois,
-            caches,
-            backend,
-            batch,
-            &mut batch_rngs,
-            rng,
+            ctx, transport, kernel, &spec, &blk, &probe, &layouts, &class_cts, &groups, &in_maps,
+            input_cts, galois, caches, backend, &mut masks,
         ),
     };
     if let (Some(t0), Ok(_)) = (serve_start, &result) {
@@ -1588,8 +1384,14 @@ pub fn serve_conv_with<R: Rng>(
     result
 }
 
+/// One result mask per image, drawn from each image's source in image
+/// order.
+fn draw_masks(masks: &mut [&mut dyn RngCore], degree: usize, t: u64) -> Vec<Vec<u64>> {
+    masks.iter_mut().map(|r| draw_mask(r, degree, t)).collect()
+}
+
 #[allow(clippy::too_many_arguments)]
-fn serve_channelwise<R: Rng>(
+fn serve_channelwise(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
     kernel: &Kernel,
@@ -1600,9 +1402,7 @@ fn serve_channelwise<R: Rng>(
     galois: Arc<GaloisKeys>,
     cache: KernelCache,
     backend: &ExecBackend,
-    batch: usize,
-    batch_rngs: &mut [StdRng],
-    rng: &mut R,
+    masks: &mut [&mut dyn RngCore],
 ) -> Result<ServerConvSummary, SpotError> {
     let shape = &spec.shape;
     let engine = HeConvEngine::with_shared_cache(ctx, galois, false, cache);
@@ -1675,45 +1475,28 @@ fn serve_channelwise<R: Rng>(
         }
     }
 
-    // Mask, send, and keep the server shares (masks in output order;
-    // for a batched layer each image's masks come from its own rng, in
-    // the same per-image order as an unbatched run, and the shared
-    // ciphertext is masked by their slot-scattered union).
+    // Mask, send, and keep the server shares (masks in output order,
+    // each image's from its own source; the shared ciphertext is masked
+    // by their slot-scattered union).
     let t = ctx.params().plain_modulus();
     let lane = ctx.degree() / 2;
     let oh = shape.out_height();
     let ow = shape.out_width();
     let blayout = channelwise_batch_layout(layout);
-    let mut shares: Vec<Tensor> = (0..batch)
-        .map(|_| Tensor::zeros(shape.c_out, oh, ow))
-        .collect();
+    let mut shares = vec![Tensor::zeros(shape.c_out, oh, ow); masks.len()];
     for (k, maybe_ct) in out_cts.into_iter().enumerate() {
         let ct = maybe_ct
             .ok_or_else(|| SpotError::Protocol(format!("output group {k} produced no result")))?;
-        let rs: Vec<Vec<u64>> = if batch > 1 {
-            batch_rngs
-                .iter_mut()
-                .map(|r| draw_mask(r, ctx.degree(), t))
-                .collect()
-        } else {
-            vec![draw_mask(rng, ctx.degree(), t)]
-        };
-        let masked = if batch > 1 {
-            let shared = blayout.scatter_masks(&rs);
-            engine
-                .evaluator()
-                .sub_plain(&ct, &engine.encoder().encode(&shared))
-        } else {
-            engine
-                .evaluator()
-                .sub_plain(&ct, &engine.encoder().encode(&rs[0]))
-        };
+        let rs = draw_masks(masks, ctx.degree(), t);
+        let masked = engine
+            .evaluator()
+            .sub_plain(&ct, &engine.encoder().encode(&blayout.scatter_masks(&rs)));
         counts.add += 1;
         transport.send(&WireMessage::MaskedResult {
             seq: k as u32,
             blob: masked.to_bytes(),
         })?;
-        for (img, r) in rs.iter().enumerate() {
+        for (share, r) in shares.iter_mut().zip(&rs) {
             for (lane_idx, row) in groups[k].out_ch.iter().enumerate() {
                 for (b, ch) in row.iter().enumerate() {
                     let Some(o) = *ch else { continue };
@@ -1721,7 +1504,7 @@ fn serve_channelwise<R: Rng>(
                         for x in 0..ow {
                             let idx = lane_idx * lane
                                 + layout.slot(b, 0, y * shape.stride, x * shape.stride);
-                            *shares[img].at_mut(o, y, x) = r[idx] as i64;
+                            *share.at_mut(o, y, x) = r[idx] as i64;
                         }
                     }
                 }
@@ -1729,10 +1512,8 @@ fn serve_channelwise<R: Rng>(
         }
     }
 
-    let mut shares = shares.into_iter();
     Ok(ServerConvSummary {
-        server_share: shares.next().expect("batch >= 1"),
-        extra_shares: shares.collect(),
+        server_shares: shares,
         counts,
         input_cts: geo.input_cts,
         output_cts: geo.output_cts,
@@ -1740,17 +1521,14 @@ fn serve_channelwise<R: Rng>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn serve_cheetah<R: Rng>(
+fn serve_cheetah(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
     kernel: &Kernel,
     spec: &LayerSpec,
     geo: &cheetah::CheetahGeometry,
     backend: &ExecBackend,
-    batch: usize,
-    batch_rngs: &mut [StdRng],
-    rng: &mut R,
+    masks: &mut [&mut dyn RngCore],
 ) -> Result<ServerConvSummary, SpotError> {
     let shape = &spec.shape;
     let evaluator = Evaluator::new(ctx);
@@ -1806,10 +1584,10 @@ fn serve_cheetah<R: Rng>(
                   (out_ct, c_local): (Ciphertext, OpCounts),
                   counts: &mut OpCounts,
                   server_share: &mut Tensor,
-                  mask: &mut MaskRng<R>|
+                  mask: &mut &mut dyn RngCore|
      -> Result<(), SpotError> {
         counts.merge(&c_local);
-        let r = mask.draw(n, t);
+        let r = draw_mask(mask, n, t);
         let masked = evaluator.sub_plain(&out_ct, &Plaintext::from_coeffs(r.clone()));
         counts.add += 1;
         transport.send(&WireMessage::MaskedResult {
@@ -1827,15 +1605,12 @@ fn serve_cheetah<R: Rng>(
 
     // Coefficient packing shares no slots, so a batch is its images in
     // sequence over one session (sequence numbers keep counting); each
-    // image's masks come from its own per-image rng.
+    // image's masks come from its own source.
+    let batch = masks.len();
     let mut shares: Vec<Tensor> = Vec::with_capacity(batch);
     let mut stream_acc: Option<StreamStats> = None;
-    for b in 0..batch {
+    for (b, mask) in masks.iter_mut().enumerate() {
         let mut share_b = Tensor::zeros(shape.c_out, oh, ow);
-        let mut mask = match batch_rngs.get_mut(b) {
-            Some(r) => MaskRng::Image(r),
-            None => MaskRng::Session(&mut *rng),
-        };
         let seq_in = b * input_cts;
         let seq_out = (b * shape.c_out) as u32;
         match backend {
@@ -1847,20 +1622,12 @@ fn serve_cheetah<R: Rng>(
                 let out_channels: Vec<usize> = (0..shape.c_out).collect();
                 let accumulated = ex.run(&out_channels, |_, &o| product_for(o, &cts));
                 for (o, acc) in accumulated.into_iter().enumerate() {
-                    absorb(
-                        seq_out + o as u32,
-                        o,
-                        acc,
-                        &mut counts,
-                        &mut share_b,
-                        &mut mask,
-                    )?;
+                    absorb(seq_out + o as u32, o, acc, &mut counts, &mut share_b, mask)?;
                 }
             }
             ExecBackend::Streaming(cfg) => {
                 let counts_ref = &mut counts;
                 let share_ref = &mut share_b;
-                let mask_ref = &mut mask;
                 let stats = run_stream_barrier(
                     cfg,
                     shape.c_out,
@@ -1871,7 +1638,7 @@ fn serve_cheetah<R: Rng>(
                         Ok(())
                     },
                     |o, inputs: &[Ciphertext]| product_for(o, inputs),
-                    |o, acc| absorb(seq_out + o as u32, o, acc, counts_ref, share_ref, mask_ref),
+                    |o, acc| absorb(seq_out + o as u32, o, acc, counts_ref, share_ref, mask),
                 )?;
                 match &mut stream_acc {
                     None => stream_acc = Some(stats),
@@ -1882,10 +1649,8 @@ fn serve_cheetah<R: Rng>(
         shares.push(share_b);
     }
 
-    let mut shares = shares.into_iter();
     Ok(ServerConvSummary {
-        server_share: shares.next().expect("batch >= 1"),
-        extra_shares: shares.collect(),
+        server_shares: shares,
         counts,
         input_cts: batch * input_cts,
         output_cts: batch * shape.c_out,
@@ -1894,7 +1659,7 @@ fn serve_cheetah<R: Rng>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn serve_spot<R: Rng>(
+fn serve_spot(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
     kernel: &Kernel,
@@ -1909,16 +1674,15 @@ fn serve_spot<R: Rng>(
     galois: Arc<GaloisKeys>,
     caches: Vec<KernelCache>,
     backend: &ExecBackend,
-    batch: usize,
-    batch_rngs: &mut [StdRng],
-    rng: &mut R,
+    masks: &mut [&mut dyn RngCore],
 ) -> Result<ServerConvSummary, SpotError> {
     let shape = &spec.shape;
     let t = ctx.params().plain_modulus();
     let n = ctx.degree();
     let out_groups = groups.len();
+    let batch = masks.len();
     // Per-class batch layouts for scattering per-image masks into the
-    // shared result ciphertexts (unused when the batch is one image).
+    // shared result ciphertexts.
     let blayouts: Vec<BatchLayout> = layouts
         .iter()
         .zip(&probe.classes)
@@ -1962,8 +1726,8 @@ fn serve_spot<R: Rng>(
 
     // Per-class consumer state: masks drawn per (ciphertext, group) in
     // global order — one draw per image at each event, so every image's
-    // rng sees the unbatched order — and a completed class unpacks into
-    // per-image piece shares.
+    // source sees the one-image order — and a completed class unpacks
+    // into per-image piece shares.
     let mut group_server: Vec<Vec<Vec<Vec<u64>>>> = vec![vec![Vec::new(); out_groups]; batch];
     let mut seen_cts = 0usize;
     let absorb_ct = |ci: usize,
@@ -1974,38 +1738,25 @@ fn serve_spot<R: Rng>(
                      seen_cts: &mut usize,
                      server_pieces: &mut Vec<Vec<Tensor>>,
                      seq_out: &mut u32,
-                     batch_rngs: &mut [StdRng],
-                     rng: &mut R|
+                     masks: &mut [&mut dyn RngCore]|
      -> Result<(), SpotError> {
         counts.merge(&c);
         for (g, out_ct) in outs.into_iter().enumerate() {
-            if batch > 1 {
-                let rs: Vec<Vec<u64>> = batch_rngs.iter_mut().map(|r| draw_mask(r, n, t)).collect();
-                let shared = blayouts[ci].scatter_masks(&rs);
-                let masked = engines[ci]
-                    .evaluator()
-                    .sub_plain(&out_ct, &engines[ci].encoder().encode(&shared));
-                counts.add += 1;
-                transport.send(&WireMessage::MaskedResult {
-                    seq: *seq_out,
-                    blob: masked.to_bytes(),
-                })?;
-                *seq_out += 1;
-                for (img, r) in rs.into_iter().enumerate() {
-                    group_server[img][g].push(r);
-                }
-            } else {
-                let r = draw_mask(rng, n, t);
-                let masked = engines[ci]
-                    .evaluator()
-                    .sub_plain(&out_ct, &engines[ci].encoder().encode(&r));
-                counts.add += 1;
-                transport.send(&WireMessage::MaskedResult {
-                    seq: *seq_out,
-                    blob: masked.to_bytes(),
-                })?;
-                *seq_out += 1;
-                group_server[0][g].push(r);
+            let rs = draw_masks(masks, n, t);
+            let masked = engines[ci].evaluator().sub_plain(
+                &out_ct,
+                &engines[ci]
+                    .encoder()
+                    .encode(&blayouts[ci].scatter_masks(&rs)),
+            );
+            counts.add += 1;
+            transport.send(&WireMessage::MaskedResult {
+                seq: *seq_out,
+                blob: masked.to_bytes(),
+            })?;
+            *seq_out += 1;
+            for (img, r) in rs.into_iter().enumerate() {
+                group_server[img][g].push(r);
             }
         }
         *seen_cts += 1;
@@ -2050,8 +1801,7 @@ fn serve_spot<R: Rng>(
                         &mut seen_cts,
                         &mut server_pieces,
                         &mut seq_out,
-                        &mut *batch_rngs,
-                        rng,
+                        masks,
                     )?;
                 }
             }
@@ -2063,8 +1813,7 @@ fn serve_spot<R: Rng>(
             let seen_ref = &mut seen_cts;
             let pieces_ref = &mut server_pieces;
             let seq_ref = &mut seq_out;
-            let batch_rngs_ref = &mut *batch_rngs;
-            let rng_ref = &mut *rng;
+            let masks_ref = &mut *masks;
             let ct_class_ref = &ct_class;
             let conv_one_ref = &conv_one;
             let stats = run_stream(
@@ -2098,8 +1847,7 @@ fn serve_spot<R: Rng>(
                         seen_ref,
                         pieces_ref,
                         seq_ref,
-                        batch_rngs_ref,
-                        rng_ref,
+                        masks_ref,
                     )
                 },
             )?;
@@ -2109,19 +1857,21 @@ fn serve_spot<R: Rng>(
 
     // Classes with zero pieces never trigger the unpack above; they
     // also contribute no pieces to the assembly, so nothing is lost.
-    let mut shares = server_pieces.into_iter().map(|pieces| {
-        let full = crate::patching::assemble(probe, &pieces, shape.height, shape.width);
-        Tensor::from_fn(
-            shape.c_out,
-            shape.out_height(),
-            shape.out_width(),
-            |c, y, x| full.at(c, y * shape.stride, x * shape.stride),
-        )
-    });
+    let server_shares = server_pieces
+        .into_iter()
+        .map(|pieces| {
+            let full = crate::patching::assemble(probe, &pieces, shape.height, shape.width);
+            Tensor::from_fn(
+                shape.c_out,
+                shape.out_height(),
+                shape.out_width(),
+                |c, y, x| full.at(c, y * shape.stride, x * shape.stride),
+            )
+        })
+        .collect();
 
     Ok(ServerConvSummary {
-        server_share: shares.next().expect("batch >= 1"),
-        extra_shares: shares.collect(),
+        server_shares,
         counts,
         input_cts,
         output_cts: input_cts * out_groups,
@@ -2133,23 +1883,8 @@ fn serve_spot<R: Rng>(
 // In-process combinator
 // ---------------------------------------------------------------------
 
-/// Result of an in-process client/server run: the merged functional
-/// result plus per-direction traffic measured from the real serialized
-/// frames.
-#[derive(Debug)]
-pub struct InProcessOutcome {
-    /// Shares, merged op counts, and ciphertext counts.
-    pub result: SecureConvResult,
-    /// Streaming stall accounting (None for the phased backend).
-    pub stream: Option<StreamStats>,
-    /// Client → server traffic (framed wire bytes).
-    pub uplink: TrafficStats,
-    /// Server → client traffic (framed wire bytes).
-    pub downlink: TrafficStats,
-}
-
-/// Result of an in-process batched client/server run: per-image shares
-/// plus the per-batch operation counts and traffic.
+/// Result of an in-process client/server run: per-image shares plus
+/// the per-batch operation counts and traffic.
 #[derive(Debug)]
 pub struct BatchConvOutcome {
     /// Each image's client share, in submission order.
@@ -2194,8 +1929,9 @@ impl BatchConvOutcome {
     }
 }
 
-/// Runs one secure convolution with both parties in this process over a
-/// [`MemTransport`], exchanging real serialized frames.
+/// Runs one secure-convolution session over a batch of same-shape
+/// images with both parties in this process over a [`MemTransport`],
+/// exchanging real serialized frames (see [`ClientConv::send_all`]).
 ///
 /// Client and server randomness is split deterministically from `rng`
 /// (one seed draw each, in that order) so phased and streaming runs of
@@ -2205,49 +1941,6 @@ impl BatchConvOutcome {
 /// bounded uplink sized to the stream config's channel capacity.
 #[allow(clippy::too_many_arguments)]
 pub fn run_in_process<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    scheme: SchemeKind,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> Result<InProcessOutcome, SpotError> {
-    let mut out = run_in_process_batched(
-        ctx,
-        keygen,
-        std::slice::from_ref(input),
-        kernel,
-        stride,
-        patch,
-        mode,
-        scheme,
-        backend,
-        rng,
-    )?;
-    Ok(InProcessOutcome {
-        result: SecureConvResult {
-            client_share: out.client_shares.remove(0),
-            server_share: out.server_shares.remove(0),
-            counts: out.counts,
-            input_cts: out.input_cts,
-            output_cts: out.output_cts,
-            modulus: out.modulus,
-        },
-        stream: out.stream,
-        uplink: out.uplink,
-        downlink: out.downlink,
-    })
-}
-
-/// [`run_in_process`] over a batch of images coalesced into shared
-/// ciphertexts (see [`ClientConv::send_all_batched`]). A one-image
-/// batch is bit- and byte-identical to [`run_in_process`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_in_process_batched<R: Rng>(
     ctx: &Arc<Context>,
     keygen: &KeyGenerator,
     inputs: &[Tensor],
@@ -2281,14 +1974,14 @@ pub fn run_in_process_batched<R: Rng>(
     let server_seed = rng.gen::<u64>();
     let client = ClientConv::new(ctx, keygen, spec)?;
 
-    let (sent, mut server, share, client_transport) = match backend {
+    let (sent, server, share, client_transport) = match backend {
         ExecBackend::Phased(_) => {
             let (ct, st) = MemTransport::pair();
             let mut crng = StdRng::seed_from_u64(client_seed);
-            let sent = client.send_all_batched(&ct, inputs, UploadPacing::Eager, &mut crng)?;
+            let sent = client.send_all(&ct, inputs, UploadPacing::Eager, &mut crng)?;
             let mut srng = StdRng::seed_from_u64(server_seed);
             let server = serve_conv(ctx, &st, kernel, backend, &mut srng)?;
-            let share = client.absorb_all_batched(&ct, batch)?;
+            let share = client.absorb_all(&ct, batch)?;
             (sent, server, share, ct)
         }
         ExecBackend::Streaming(cfg) => {
@@ -2299,7 +1992,7 @@ pub fn run_in_process_batched<R: Rng>(
             let scope_result = crossbeam::thread::scope(|s| {
                 let uploader = s.spawn(move |_| {
                     let t0 = Instant::now();
-                    let r = client_ref.send_all_batched(
+                    let r = client_ref.send_all(
                         ct_ref,
                         inputs,
                         UploadPacing::AwaitAck,
@@ -2334,7 +2027,7 @@ pub fn run_in_process_batched<R: Rng>(
                 stats.client_blocked_s = blocked;
                 stats.client_s = (client_wall.as_secs_f64() - blocked).max(0.0);
             }
-            let share = client.absorb_all_batched(&ct, batch)?;
+            let share = client.absorb_all(&ct, batch)?;
             (sent, server, share, ct)
         }
     };
@@ -2342,18 +2035,15 @@ pub fn run_in_process_batched<R: Rng>(
     let mut counts = server.counts;
     counts.encrypt += sent.encrypt;
     counts.decrypt += share.decrypt;
-    let mut server_shares = Vec::with_capacity(batch);
-    server_shares.push(server.server_share);
-    server_shares.append(&mut server.extra_shares);
     let tstats = client_transport.stats();
     Ok(BatchConvOutcome {
         client_shares: share.shares,
-        server_shares,
+        server_shares: server.server_shares,
         counts,
         input_cts: server.input_cts,
         output_cts: server.output_cts,
         modulus: ctx.params().plain_modulus(),
-        stream: server.stream.take(),
+        stream: server.stream,
         uplink: tstats.sent,
         downlink: tstats.received,
     })

@@ -25,8 +25,7 @@ use crate::executor::Executor;
 use crate::heconv::{ChannelMap, GroupSpec};
 use crate::layout::{next_pow2, unpack_pieces, unpack_pieces_split, LaneLayout};
 use crate::patching::{decompose, PatchMode};
-use crate::session::{run_in_process, run_in_process_batched, ExecBackend, SchemeKind};
-use crate::stream::{StreamConfig, StreamStats};
+use crate::session::{run_in_process, ExecBackend, SchemeKind};
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -197,6 +196,8 @@ pub(crate) fn unpack_class_share(
 }
 
 /// Executes the SPOT secure convolution end to end on a single thread.
+/// Other backends and batches run through
+/// [`crate::session::run_in_process`].
 ///
 /// `patch` is the main patch size `(ph, pw)` (see [`crate::select`] for
 /// the Table VI selection); `mode` picks vanilla patching or overlap
@@ -217,141 +218,21 @@ pub fn execute<R: Rng>(
     mode: PatchMode,
     rng: &mut R,
 ) -> SecureConvResult {
-    execute_with(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        patch,
-        mode,
-        &Executor::serial(),
-        rng,
-    )
-}
-
-/// Executes the SPOT secure convolution with the server-side
-/// per-ciphertext convolutions fanned across `executor`'s worker pool.
-///
-/// All randomness (encryption and masking) is drawn sequentially in a
-/// fixed order per party, and the parallel phase is pure, so the
-/// result — shares, counts and all — is bit-identical for every thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if a piece does not fit a lane
-/// (`C_i_pad · next_pow2(ph·pw) > N/2`) or the level has no rotations.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    executor: &Executor,
-    rng: &mut R,
-) -> SecureConvResult {
     run_in_process(
         ctx,
         keygen,
-        input,
+        std::slice::from_ref(input),
         kernel,
         stride,
         patch,
         mode,
         SchemeKind::Spot,
-        &ExecBackend::Phased(*executor),
+        &ExecBackend::Phased(Executor::serial()),
         rng,
     )
     .expect("in-process SPOT session")
-    .result
-}
-
-/// Executes the SPOT secure convolution as a real client/server
-/// pipeline: the client thread packs and encrypts each ciphertext and
-/// streams it through a bounded in-process transport; server workers
-/// convolve every ciphertext the moment it arrives (SPOT's per-input
-/// dependency — no barrier); masked results return to the client
-/// overlapped with ongoing uploads.
-///
-/// Client and server randomness are split from `rng` exactly as in the
-/// phased driver, so the returned shares and operation counts are
-/// bit-identical to [`execute_with`] for any worker count and channel
-/// capacity, given the same rng seed.
-///
-/// # Panics
-///
-/// Panics as [`execute_with`] does on layouts that do not fit a lane.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_streaming<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (SecureConvResult, StreamStats) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        patch,
-        mode,
-        SchemeKind::Spot,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process SPOT session");
-    let stats = outcome
-        .stream
-        .expect("streaming backend reports stall stats");
-    (outcome.result, stats)
-}
-
-/// [`execute_streaming`] over a batch of same-shape images coalesced
-/// into shared ciphertexts (see
-/// [`crate::session::ClientConv::send_all_batched`]): one streamed
-/// session serves every image, with the per-batch rotation and
-/// key-switch counts of a single image. Returns each image's
-/// functional result in submission order plus the run's stall stats.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_streaming_batched<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    inputs: &[Tensor],
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (Vec<SecureConvResult>, StreamStats) {
-    let outcome = run_in_process_batched(
-        ctx,
-        keygen,
-        inputs,
-        kernel,
-        stride,
-        patch,
-        mode,
-        SchemeKind::Spot,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process batched SPOT session");
-    let stats = outcome
-        .stream
-        .clone()
-        .expect("streaming backend reports stall stats");
-    (outcome.into_results(), stats)
+    .into_results()
+    .remove(0)
 }
 
 /// Piece-class geometry used by the planner.

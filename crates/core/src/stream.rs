@@ -1,18 +1,17 @@
 //! Streaming execution runtime: overlap client encryption with server
 //! convolution.
 //!
-//! The phased drivers (`execute_with` in [`crate::spot`],
-//! [`crate::channelwise`], [`crate::cheetah`]) run *encrypt everything →
-//! convolve everything* as two sequential phases, so the pipelining that
-//! SPOT's structure patching enables existed only in the analytic
-//! simulator. This module makes it real: a **producer thread** (the
-//! client) packs and encrypts ciphertexts and pushes them through a
-//! [`BoundedQueue`] whose capacity is the tiny client's ciphertext
-//! budget ([`DeviceProfile::ciphertext_capacity`]); **server workers**
-//! (the PR 1 [`Executor`] pool, via [`Executor::run_workers`]) pull each
-//! ciphertext the moment it arrives and convolve it; result shares flow
-//! back on an unbounded return queue for overlapped assembly on the
-//! caller's thread.
+//! The phased backend ([`crate::session::ExecBackend::Phased`]) runs
+//! *encrypt everything → convolve everything* as two sequential phases,
+//! so the pipelining that SPOT's structure patching enables existed only
+//! in the analytic simulator. This module makes it real: a **producer
+//! thread** (the client) packs and encrypts ciphertexts and pushes them
+//! through a [`BoundedQueue`] whose capacity is the tiny client's
+//! ciphertext budget ([`DeviceProfile::ciphertext_capacity`]); **server
+//! workers** (the PR 1 [`Executor`] pool, via [`Executor::run_workers`])
+//! pull each ciphertext the moment it arrives and convolve it; result
+//! shares flow back on an unbounded return queue for overlapped assembly
+//! on the caller's thread.
 //!
 //! Two drivers map the two output-dependency classes
 //! ([`crate::inference::plan_conv`]):
@@ -683,7 +682,8 @@ struct AssemblerState<T> {
 }
 
 /// Coalesces queued inference requests into batches for the cross-image
-/// SIMD-slot batching path ([`crate::session::run_in_process_batched`]).
+/// SIMD-slot batching path (a batch of `B` images per
+/// [`crate::session::ClientConv::send_all`]).
 ///
 /// Submitters enqueue items as they arrive; the dispatch loop calls
 /// [`BatchAssembler::next_batch`], which returns as soon as `capacity`

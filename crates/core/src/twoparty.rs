@@ -5,9 +5,9 @@
 //! pair or two OS processes over framed TCP.
 //!
 //! Layer flow: each convolution runs as a client/server session
-//! ([`ClientConv`] against [`serve_conv`]); each non-linearity is one
-//! `OtRound` request/reply on additive shares; layer boundaries use
-//! `ShareReveal`.
+//! ([`ClientConv`] against [`crate::session::serve_conv`]); each
+//! non-linearity is one `OtRound` request/reply on additive shares;
+//! layer boundaries use `ShareReveal`.
 //!
 //! **Demo simplification.** The non-linear rounds here stand in for the
 //! OT-based DReLU/comparison protocols (simulated in-process by
@@ -151,8 +151,7 @@ fn client_reveal(
 /// One secure convolution session from the client's side carrying a
 /// whole batch of images, uploading and absorbing concurrently so a
 /// socket transport never deadlocks on full buffers in both
-/// directions. A one-image batch produces byte-identical traffic to
-/// the original single-image session.
+/// directions.
 fn client_conv_batch<R: Rng + Send>(
     ctx: &Arc<Context>,
     keygen: &KeyGenerator,
@@ -168,11 +167,11 @@ fn client_conv_batch<R: Rng + Send>(
             // Eager pacing: TCP's own flow control paces a real link,
             // and the concurrent absorber below must own every recv.
             spot_trace::set_thread_label("uploader");
-            let sent = conv_ref.send_all_batched(transport, inputs, UploadPacing::Eager, rng);
+            let sent = conv_ref.send_all(transport, inputs, UploadPacing::Eager, rng);
             spot_trace::flush_thread();
             sent
         });
-        let share = conv_ref.absorb_all_batched(transport, inputs.len());
+        let share = conv_ref.absorb_all(transport, inputs.len());
         let sent = uploader.join().expect("upload thread panicked");
         (sent, share)
     });
@@ -184,46 +183,17 @@ fn client_conv_batch<R: Rng + Send>(
     Ok(share?.shares)
 }
 
-/// Client half of the two-party TinyCnn demo. `arch` provides the
-/// layer *shapes* only — the kernel weights it carries are never read,
-/// they live with the server.
-///
-/// Returns the reconstructed network output.
-#[allow(clippy::too_many_arguments)]
-pub fn run_client<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    transport: &dyn Transport,
-    input: &Tensor,
-    arch: &TinyCnn,
-    scheme: SchemeKind,
-    patch: (usize, usize),
-    mode: PatchMode,
-    rng: &mut R,
-) -> Result<Tensor, SpotError> {
-    let mut outputs = run_client_batch(
-        ctx,
-        keygen,
-        transport,
-        std::slice::from_ref(input),
-        arch,
-        scheme,
-        patch,
-        mode,
-        rng,
-    )?;
-    Ok(outputs.remove(0))
-}
-
-/// Client half of the two-party TinyCnn demo over a *batch* of queued
-/// inputs: both convolutions run as single batched HE sessions (shared
-/// ciphertexts, so rotations and key-switches amortize across the
-/// batch), while the non-linear rounds stay per image.
+/// Client half of the two-party TinyCnn demo over a batch of one or
+/// more queued inputs. `arch` provides the layer *shapes* only — the
+/// kernel weights it carries are never read, they live with the
+/// server. Both convolutions run as single HE sessions over the whole
+/// batch (shared ciphertexts, so rotations and key-switches amortize
+/// across it), while the non-linear rounds stay per image.
 ///
 /// Per-image OT round numbering is `b` (ReLU 1), `batch + b`
 /// (max-pool), `2·batch + b` (ReLU 2), which degenerates to the
 /// classic `0, 1, 2` sequence at `batch = 1` — a one-image batch is
-/// byte-identical on the wire to [`run_client`]'s historic traffic.
+/// byte-identical on the wire to the pre-batching protocol.
 ///
 /// Returns the reconstructed network output per image, in submission
 /// order.
@@ -573,9 +543,7 @@ pub fn run_server_with<R: Rng>(
         }
         report.input_cts += summary.input_cts;
         report.output_cts += summary.output_cts;
-        let mut shares = vec![summary.server_share];
-        shares.extend(summary.extra_shares);
-        shares
+        summary.server_shares
     };
 
     // conv1 — the batch width arrives with the client's Setup.
@@ -679,18 +647,19 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(99);
         let kg = KeyGenerator::new(&ctx, &mut rng);
-        let got = run_client(
+        let got = run_client_batch(
             &ctx,
             &kg,
             &ct,
-            &input,
+            std::slice::from_ref(&input),
             &cnn,
             scheme,
             (4, 4),
             PatchMode::Tweaked,
             &mut rng,
         )
-        .expect("client run");
+        .expect("client run")
+        .remove(0);
         let report = server.join().expect("server thread").expect("server run");
         assert!(report.input_cts > 0);
         assert!(report.counts.mult_plain > 0);

@@ -16,18 +16,18 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spot_core::error::SpotError;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    run_in_process_batched, serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind,
-    UploadPacing,
+    run_in_process, serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
 };
 use spot_core::stream::BatchAssembler;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
-use spot_proto::transport::{MemTransport, TcpTransport};
+use spot_proto::transport::{MemTransport, TcpTransport, Transport};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use std::sync::Arc;
@@ -76,15 +76,13 @@ fn run_batched(
     let (ct, st) = MemTransport::pair();
     let conv = ClientConv::new(ctx, kg, spec).expect("client conv");
     let mut crng = StdRng::seed_from_u64(777);
-    conv.send_all_batched(&ct, inputs, UploadPacing::Eager, &mut crng)
+    conv.send_all(&ct, inputs, UploadPacing::Eager, &mut crng)
         .expect("upload");
     let mut srng = StdRng::seed_from_u64(server_seed);
     let backend = ExecBackend::Phased(Executor::serial());
     let summary = serve_conv(ctx, &st, kernel, &backend, &mut srng).expect("serve");
-    let shares = conv.absorb_all_batched(&ct, inputs.len()).expect("absorb");
-    let mut server_shares = vec![summary.server_share];
-    server_shares.extend(summary.extra_shares);
-    (shares.shares, server_shares, summary.counts)
+    let shares = conv.absorb_all(&ct, inputs.len()).expect("absorb");
+    (shares.shares, summary.server_shares, summary.counts)
 }
 
 /// Replicates the per-image mask seeds a batched server draws: the
@@ -141,6 +139,37 @@ fn assert_batched_matches_unbatched(scheme: SchemeKind, level: ParamLevel, batch
             assert_eq!(counts.rotate, rcounts.rotate, "{tag}: rotations image {b}");
         }
     }
+
+    // Batch widths outside 1..=capacity are refused on both halves
+    // before any frame moves. The closed downlink makes a missing check
+    // fail with a transport error instead of blocking.
+    let conv = ClientConv::new(&ctx, &kg, spec).expect("client conv");
+    let cap = conv.batch_capacity();
+    let (ct, st) = MemTransport::pair();
+    st.close_tx();
+    for bad in [0, cap + 1] {
+        assert!(
+            matches!(conv.absorb_all(&ct, bad), Err(SpotError::Protocol(_))),
+            "{tag}: absorb of batch {bad} accepted"
+        );
+    }
+    let too_many = test_inputs(cap + 1);
+    for bad in [&[][..], &too_many[..]] {
+        let mut crng = StdRng::seed_from_u64(777);
+        assert!(
+            matches!(
+                conv.send_all(&ct, bad, UploadPacing::Eager, &mut crng),
+                Err(SpotError::Protocol(_))
+            ),
+            "{tag}: upload of batch {} accepted",
+            bad.len()
+        );
+    }
+    assert_eq!(
+        ct.stats().sent.messages,
+        0,
+        "{tag}: rejected batch sent frames"
+    );
 }
 
 #[test]
@@ -214,15 +243,13 @@ fn batched_shares_identical_over_tcp() {
         let inputs_ref = &inputs;
         let uploader = s.spawn(move || {
             let mut crng = StdRng::seed_from_u64(777);
-            conv_ref.send_all_batched(tr, inputs_ref, UploadPacing::Eager, &mut crng)
+            conv_ref.send_all(tr, inputs_ref, UploadPacing::Eager, &mut crng)
         });
-        let shares = conv_ref.absorb_all_batched(tr, inputs_ref.len());
+        let shares = conv_ref.absorb_all(tr, inputs_ref.len());
         uploader.join().expect("upload thread").expect("upload");
         shares.expect("absorb")
     });
-    let summary = server.join().expect("server thread");
-    let mut tcp_ss = vec![summary.server_share];
-    tcp_ss.extend(summary.extra_shares);
+    let tcp_ss = server.join().expect("server thread").server_shares;
 
     assert_eq!(shares.shares, mem_cs);
     assert_eq!(tcp_ss, mem_ss);
@@ -245,7 +272,7 @@ fn assembler_coalesced_batch_reconstructs_per_image() {
     let mut rng = StdRng::seed_from_u64(12);
     let kg = KeyGenerator::new(&ctx, &mut rng);
     let kernel = test_kernel();
-    let outcome = run_in_process_batched(
+    let outcome = run_in_process(
         &ctx,
         &kg,
         &batch,

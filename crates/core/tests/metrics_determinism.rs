@@ -74,11 +74,16 @@ fn run_session(
     let mut crng = StdRng::seed_from_u64(71);
     let keygen = KeyGenerator::new(ctx, &mut crng);
     let conv = ClientConv::new(ctx, &keygen, spec).expect("plan");
-    let share = std::thread::scope(|s| {
+    let mut share = std::thread::scope(|s| {
         let client = s.spawn(|| {
-            conv.send_all(client_t, input, UploadPacing::Eager, &mut crng)
-                .expect("send_all");
-            conv.absorb_all(client_t).expect("absorb_all")
+            conv.send_all(
+                client_t,
+                std::slice::from_ref(input),
+                UploadPacing::Eager,
+                &mut crng,
+            )
+            .expect("send_all");
+            conv.absorb_all(client_t, 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(1312);
         serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
@@ -88,7 +93,7 @@ fn run_session(
     metrics::disable();
     MetricsRun {
         snap,
-        client_share: share.share,
+        client_share: share.shares.remove(0),
     }
 }
 
@@ -183,9 +188,14 @@ fn disabled_registry_stays_empty_through_a_session() {
     let conv = ClientConv::new(&ctx, &keygen, spec).expect("plan");
     std::thread::scope(|s| {
         let client = s.spawn(|| {
-            conv.send_all(&client_t, &input, UploadPacing::Eager, &mut crng)
-                .expect("send_all");
-            conv.absorb_all(&client_t).expect("absorb_all")
+            conv.send_all(
+                &client_t,
+                std::slice::from_ref(&input),
+                UploadPacing::Eager,
+                &mut crng,
+            )
+            .expect("send_all");
+            conv.absorb_all(&client_t, 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(1312);
         serve_conv(&ctx, &server_t, &kernel, &backend, &mut srng).expect("serve_conv");

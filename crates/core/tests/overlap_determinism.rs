@@ -86,12 +86,17 @@ fn run_traced(scheme: SchemeKind, threads: usize, tcp: bool) -> MergedRun {
     let mut crng = StdRng::seed_from_u64(71);
     let keygen = KeyGenerator::new(&ctx, &mut crng);
     let conv = ClientConv::new(&ctx, &keygen, spec).expect("plan");
-    let share = std::thread::scope(|s| {
+    let mut share = std::thread::scope(|s| {
         let client = s.spawn(|| {
             spot_trace::set_thread_label("client");
-            conv.send_all(client_t.as_ref(), &input, UploadPacing::Eager, &mut crng)
-                .expect("send_all");
-            let share = conv.absorb_all(client_t.as_ref()).expect("absorb_all");
+            conv.send_all(
+                client_t.as_ref(),
+                std::slice::from_ref(&input),
+                UploadPacing::Eager,
+                &mut crng,
+            )
+            .expect("send_all");
+            let share = conv.absorb_all(client_t.as_ref(), 1).expect("absorb_all");
             spot_trace::flush_thread();
             share
         });
@@ -124,7 +129,7 @@ fn run_traced(scheme: SchemeKind, threads: usize, tcp: bool) -> MergedRun {
     let merged = correlate::merge(&party(cev), &party(sev));
     MergedRun {
         merged,
-        share: share.share,
+        share: share.shares.remove(0),
     }
 }
 
@@ -138,17 +143,22 @@ fn run_untraced(scheme: SchemeKind, threads: usize) -> Tensor {
     let mut crng = StdRng::seed_from_u64(71);
     let keygen = KeyGenerator::new(&ctx, &mut crng);
     let conv = ClientConv::new(&ctx, &keygen, spec).expect("plan");
-    let share = std::thread::scope(|s| {
+    let mut share = std::thread::scope(|s| {
         let client = s.spawn(|| {
-            conv.send_all(client_t.as_ref(), &input, UploadPacing::Eager, &mut crng)
-                .expect("send_all");
-            conv.absorb_all(client_t.as_ref()).expect("absorb_all")
+            conv.send_all(
+                client_t.as_ref(),
+                std::slice::from_ref(&input),
+                UploadPacing::Eager,
+                &mut crng,
+            )
+            .expect("send_all");
+            conv.absorb_all(client_t.as_ref(), 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(1312);
         serve_conv(&ctx, server_t.as_ref(), &kernel, &backend, &mut srng).expect("serve_conv");
         client.join().expect("client thread")
     });
-    share.share
+    share.shares.remove(0)
 }
 
 /// Span-name multiset of the merged timeline, read back through the

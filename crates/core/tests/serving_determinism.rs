@@ -90,14 +90,12 @@ fn run_session(
             let backend = ExecBackend::Phased(Executor::serial());
             serve_conv_with(ctx, st, kernel, &backend, opts, &mut srng).expect("serve")
         });
-        conv.send_all_batched(ct, &inputs, UploadPacing::Eager, &mut crng)
+        conv.send_all(ct, &inputs, UploadPacing::Eager, &mut crng)
             .expect("upload");
-        let shares = conv.absorb_all_batched(ct, inputs.len()).expect("absorb");
+        let shares = conv.absorb_all(ct, inputs.len()).expect("absorb");
         (shares, server.join().expect("server thread"))
     });
-    let mut server_shares = vec![summary.server_share];
-    server_shares.extend(summary.extra_shares);
-    (shares.shares, server_shares)
+    (shares.shares, summary.server_shares)
 }
 
 /// N concurrent sessions over `MemTransport`, all feeding one shared
@@ -187,7 +185,7 @@ fn concurrent_tcp_sessions_match_solo_shares() {
                         let st = TcpTransport::from_stream(stream).expect("wrap");
                         let mut srng = StdRng::seed_from_u64(server_seed);
                         let backend = ExecBackend::Phased(Executor::serial());
-                        let summary = serve_conv_with(
+                        serve_conv_with(
                             &ctx,
                             &st,
                             kernel,
@@ -198,10 +196,8 @@ fn concurrent_tcp_sessions_match_solo_shares() {
                             },
                             &mut srng,
                         )
-                        .expect("serve");
-                        let mut server_shares = vec![summary.server_share];
-                        server_shares.extend(summary.extra_shares);
-                        server_shares
+                        .expect("serve")
+                        .server_shares
                     }));
                 }
                 for h in sessions {
@@ -221,9 +217,9 @@ fn concurrent_tcp_sessions_match_solo_shares() {
                     let kg = KeyGenerator::new(&ctx, &mut keyrng);
                     let conv = ClientConv::new(&ctx, &kg, spec).expect("client conv");
                     let mut crng = StdRng::seed_from_u64(777 + client as u64);
-                    conv.send_all_batched(&ct, &inputs, UploadPacing::Eager, &mut crng)
+                    conv.send_all(&ct, &inputs, UploadPacing::Eager, &mut crng)
                         .expect("upload");
-                    let shares = conv.absorb_all_batched(&ct, inputs.len()).expect("absorb");
+                    let shares = conv.absorb_all(&ct, inputs.len()).expect("absorb");
                     (client, shares.shares)
                 })
             })

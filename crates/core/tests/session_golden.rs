@@ -147,14 +147,12 @@ fn record(scheme: SchemeKind, batch: Option<usize>) -> Transcript {
     let rec = Recording::new(&ct);
 
     let mut crng = StdRng::seed_from_u64(777);
-    conv.send_all_batched(&rec, &inputs, UploadPacing::Eager, &mut crng)
+    conv.send_all(&rec, &inputs, UploadPacing::Eager, &mut crng)
         .expect("upload");
     let mut srng = StdRng::seed_from_u64(3100);
     let backend = ExecBackend::Phased(Executor::serial());
     let summary = serve_conv(&ctx, &st, &test_kernel(), &backend, &mut srng).expect("serve");
-    let client = conv.absorb_all_batched(&rec, batch).expect("absorb");
-    let mut server_shares = vec![summary.server_share];
-    server_shares.extend(summary.extra_shares);
+    let client = conv.absorb_all(&rec, batch).expect("absorb");
 
     let (uplink, downlink) = rec.digests();
     Transcript {
@@ -162,7 +160,7 @@ fn record(scheme: SchemeKind, batch: Option<usize>) -> Transcript {
         uplink,
         downlink,
         client_shares: shares_digest(&client.shares),
-        server_shares: shares_digest(&server_shares),
+        server_shares: shares_digest(&summary.server_shares),
     }
 }
 

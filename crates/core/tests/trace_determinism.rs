@@ -100,11 +100,16 @@ fn run_session(
     let mut crng = StdRng::seed_from_u64(71);
     let keygen = KeyGenerator::new(ctx, &mut crng);
     let conv = ClientConv::new(ctx, &keygen, spec).expect("plan");
-    let share = std::thread::scope(|s| {
+    let mut share = std::thread::scope(|s| {
         let client = s.spawn(|| {
-            conv.send_all(client_t, input, UploadPacing::Eager, &mut crng)
-                .expect("send_all");
-            let share = conv.absorb_all(client_t).expect("absorb_all");
+            conv.send_all(
+                client_t,
+                std::slice::from_ref(input),
+                UploadPacing::Eager,
+                &mut crng,
+            )
+            .expect("send_all");
+            let share = conv.absorb_all(client_t, 1).expect("absorb_all");
             spot_trace::flush_thread();
             share
         });
@@ -118,7 +123,7 @@ fn run_session(
     TraceRun {
         events,
         counters,
-        client_share: share.share,
+        client_share: share.shares.remove(0),
     }
 }
 

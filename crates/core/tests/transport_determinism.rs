@@ -50,11 +50,16 @@ fn run_session(
     let mut crng = StdRng::seed_from_u64(CLIENT_SEED);
     let keygen = KeyGenerator::new(ctx, &mut crng);
     let conv = ClientConv::new(ctx, &keygen, spec).expect("plan");
-    let (share, summary) = std::thread::scope(|s| {
+    let (mut share, mut summary) = std::thread::scope(|s| {
         let client = s.spawn(|| {
-            conv.send_all(client_t, input, UploadPacing::Eager, &mut crng)
-                .expect("send_all");
-            conv.absorb_all(client_t).expect("absorb_all")
+            conv.send_all(
+                client_t,
+                std::slice::from_ref(input),
+                UploadPacing::Eager,
+                &mut crng,
+            )
+            .expect("send_all");
+            conv.absorb_all(client_t, 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(SERVER_SEED);
         let summary = serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
@@ -62,8 +67,8 @@ fn run_session(
     });
     let stats = client_t.stats();
     Outcome {
-        client_share: share.share,
-        server_share: summary.server_share,
+        client_share: share.shares.remove(0),
+        server_share: summary.server_shares.remove(0),
         input_cts: summary.input_cts,
         output_cts: summary.output_cts,
         rotations: summary.counts.rotate,

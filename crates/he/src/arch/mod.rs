@@ -28,7 +28,7 @@
 //! which kernel the HE spans ran on.
 //!
 //! Vector kernels are written once, generically over the minimal
-//! [`vec::V64`] lane trait; per-ISA `unsafe` is confined to the ~12
+//! `vec::V64` lane trait; per-ISA `unsafe` is confined to the ~12
 //! primitive lane ops in `avx2.rs` / `neon.rs`. See DESIGN.md §11 for
 //! the safety argument and the recipe for adding a new ISA.
 

@@ -334,23 +334,29 @@ impl BatchLayout {
         out
     }
 
-    /// Splits per-image share masks into one shared mask row: image
-    /// `b`'s full-ring mask `masks[b]` contributes exactly its
-    /// positions-`0..stride` slots, scattered to positions
-    /// `b·stride ..`. Subtracting the result from a batched ciphertext
-    /// therefore masks each image's slots with that image's own
-    /// independently drawn randomness — masks stay independent per
-    /// client even though the ciphertext is shared. Slots covered by no
-    /// image stay zero (they hold no image data by construction).
+    /// Merges per-image share masks into one shared mask row. The row
+    /// starts as image 0's full-ring mask `masks[0]`; every further
+    /// image `b` then overwrites positions `b·stride ..` with its own
+    /// mask's positions-`0..stride` slots. Subtracting the result from a
+    /// batched ciphertext therefore masks each image's slots with that
+    /// image's own independently drawn randomness — masks stay
+    /// independent per client even though the ciphertext is shared —
+    /// and every slot no image covers with image 0's. For one image the
+    /// row is exactly its full-ring mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` is empty or holds more than `capacity()`
+    /// masks.
     pub fn scatter_masks(&self, masks: &[Vec<u64>]) -> Vec<u64> {
         assert!(
-            masks.len() <= self.capacity(),
-            "{} masks exceed batch capacity {}",
+            !masks.is_empty() && masks.len() <= self.capacity(),
+            "{} masks outside batch capacity 1..={}",
             masks.len(),
             self.capacity()
         );
-        let mut out = vec![0u64; 2 * self.lane_size];
-        for (b, m) in masks.iter().enumerate() {
+        let mut out = masks[0].clone();
+        for (b, m) in masks.iter().enumerate().skip(1) {
             for p in 0..self.stride {
                 self.copy_position(&mut out, m, b * self.stride + p, p);
             }
@@ -587,6 +593,17 @@ mod tests {
             }
             assert_eq!(bl.unpack_image(&shared, b), single, "mask {b}");
         }
+        // Slots past the last image keep image 0's full-ring mask.
+        let tail = 3 * bl.stride;
+        for p in tail..bl.positions() {
+            let mut got = vec![0u64; 512];
+            let mut want = vec![0u64; 512];
+            bl.copy_position(&mut got, &shared, 0, p);
+            bl.copy_position(&mut want, &masks[0], 0, p);
+            assert_eq!(got, want, "uncovered position {p}");
+        }
+        // One image: the shared row is that image's mask, unchanged.
+        assert_eq!(bl.scatter_masks(&masks[..1]), masks[0]);
     }
 
     #[test]

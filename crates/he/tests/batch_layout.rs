@@ -1,7 +1,8 @@
 //! Property tests for [`BatchLayout`], the cross-image SIMD-slot
 //! interleaving: packing is lossless per image (ragged batches, both
 //! ring sizes, both position models), uncovered slots stay zero, and
-//! scattered masks carry exactly each image's own randomness.
+//! scattered masks carry exactly each image's own randomness over
+//! image 0's full-ring mask.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,12 +93,13 @@ proptest! {
         }
     }
 
-    /// `scatter_masks` places each image's full-ring mask at that
-    /// image's positions — identical to packing the per-image
-    /// restrictions of those masks. Masks therefore stay independent
-    /// per image even though the ciphertext is shared.
+    /// `scatter_masks` places each image's mask at that image's
+    /// positions — identical to packing the per-image restrictions of
+    /// those masks — and keeps image 0's full-ring mask on every slot no
+    /// image covers. Masks therefore stay independent per image even
+    /// though the ciphertext is shared, and no slot goes unmasked.
     #[test]
-    fn scatter_masks_matches_packed_restrictions(
+    fn scatter_masks_overlays_images_on_image_zero_mask(
         lane_sel in 0u32..2,
         log_blocks in 0u32..3,
         log_groups in 1u32..6,
@@ -110,7 +112,12 @@ proptest! {
         let scattered = layout.scatter_masks(&masks);
         let restricted: Vec<Vec<u64>> =
             masks.iter().map(|m| layout.unpack_image(m, 0)).collect();
-        prop_assert_eq!(scattered, layout.pack_images(&restricted));
+        let packed = layout.pack_images(&restricted);
+        let covered = layout.pack_images(&vec![vec![1u64; 2 * layout.lane_size]; masks.len()]);
+        for i in 0..scattered.len() {
+            let want = if covered[i] == 1 { packed[i] } else { masks[0][i] };
+            prop_assert_eq!(scattered[i], want, "slot {}", i);
+        }
     }
 
     /// Capacity accounting: `capacity` images of `stride` positions

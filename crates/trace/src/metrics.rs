@@ -20,9 +20,9 @@
 //!   (measured by the `trace_overhead` bench). The `*_always` variants
 //!   ([`Histogram::record`], …) bypass the switch for callers that own
 //!   their metric outright (e.g. a load generator's latency histogram).
-//! * [`snapshot`]/[`MetricsSnapshot::delta`] have exact semantics:
-//!   counters and histogram buckets subtract element-wise (saturating),
-//!   gauges keep the later sample.
+//! * [`Registry::snapshot`]/[`MetricsSnapshot::delta`] have exact
+//!   semantics: counters and histogram buckets subtract element-wise
+//!   (saturating), gauges keep the later sample.
 //!
 //! Two encoders serve the snapshots: [`encode_prometheus`] renders the
 //! standard text exposition format (`name{labels} value`, histograms as

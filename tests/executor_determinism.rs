@@ -10,14 +10,43 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot::core::channelwise::SecureConvResult;
 use spot::core::executor::Executor;
+use spot::core::inference::{run_conv_backend, ExecBackend, Scheme};
 use spot::core::patching::PatchMode;
-use spot::core::{channelwise, cheetah, spot as spot_conv};
 use spot::he::prelude::*;
 use spot::tensor::{conv2d, Kernel, Tensor};
 use std::sync::Arc;
 
 fn ctx() -> Arc<spot::he::context::Context> {
     spot::he::context::Context::new(EncryptionParams::new(ParamLevel::N4096))
+}
+
+/// One phased session of `scheme` with the server's convolutions on
+/// `ex`'s worker pool.
+#[allow(clippy::too_many_arguments)]
+fn phased(
+    ctx: &Arc<spot::he::context::Context>,
+    kg: &KeyGenerator,
+    input: &Tensor,
+    kernel: &Kernel,
+    patch: (usize, usize),
+    mode: PatchMode,
+    scheme: Scheme,
+    ex: &Executor,
+    rng: &mut StdRng,
+) -> SecureConvResult {
+    let (mut results, _) = run_conv_backend(
+        ctx,
+        kg,
+        std::slice::from_ref(input),
+        kernel,
+        1,
+        patch,
+        mode,
+        scheme,
+        &ExecBackend::Phased(*ex),
+        rng,
+    );
+    results.remove(0)
 }
 
 /// Runs `f` under a fresh deterministic rng/keygen per thread count and
@@ -53,14 +82,14 @@ fn spot_vanilla_is_thread_count_invariant() {
     let input = Tensor::random(4, 12, 12, 6, 11);
     let kernel = Kernel::random(4, 4, 3, 3, 4, 12);
     let res = assert_identical(41, |ctx, kg, ex, rng| {
-        spot_conv::execute_with(
+        phased(
             ctx,
             kg,
             &input,
             &kernel,
-            1,
             (5, 5),
             PatchMode::Vanilla,
+            Scheme::Spot,
             ex,
             rng,
         )
@@ -73,14 +102,14 @@ fn spot_tweaked_is_thread_count_invariant() {
     let input = Tensor::random(4, 12, 12, 6, 21);
     let kernel = Kernel::random(8, 4, 3, 3, 4, 22);
     let res = assert_identical(42, |ctx, kg, ex, rng| {
-        spot_conv::execute_with(
+        phased(
             ctx,
             kg,
             &input,
             &kernel,
-            1,
             (4, 4),
             PatchMode::Tweaked,
+            Scheme::Spot,
             ex,
             rng,
         )
@@ -93,7 +122,17 @@ fn channelwise_is_thread_count_invariant() {
     let input = Tensor::random(8, 8, 8, 6, 31);
     let kernel = Kernel::random(4, 8, 3, 3, 4, 32);
     let res = assert_identical(43, |ctx, kg, ex, rng| {
-        channelwise::execute_with(ctx, kg, &input, &kernel, 1, ex, rng)
+        phased(
+            ctx,
+            kg,
+            &input,
+            &kernel,
+            (0, 0),
+            PatchMode::Vanilla,
+            Scheme::CrypTFlow2,
+            ex,
+            rng,
+        )
     });
     assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
 }
@@ -103,7 +142,17 @@ fn cheetah_is_thread_count_invariant() {
     let input = Tensor::random(16, 16, 16, 4, 51);
     let kernel = Kernel::random(4, 16, 3, 3, 3, 52);
     let res = assert_identical(44, |ctx, kg, ex, rng| {
-        cheetah::execute_with(ctx, kg, &input, &kernel, 1, ex, rng)
+        phased(
+            ctx,
+            kg,
+            &input,
+            &kernel,
+            (0, 0),
+            PatchMode::Vanilla,
+            Scheme::Cheetah,
+            ex,
+            rng,
+        )
     });
     assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
 }
