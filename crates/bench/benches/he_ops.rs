@@ -8,8 +8,9 @@ use spot_core::executor::Executor;
 use spot_core::heconv::{ConvRequest, HeConvEngine};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
-use spot_core::session::{run_in_process, ExecBackend, SchemeKind};
+use spot_core::session::{run_in_process, SchemeKind};
 use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
+use spot_core::stream::StreamConfig;
 use spot_he::evaluator::OpCounts;
 use spot_he::prelude::*;
 use spot_tensor::tensor::{Kernel, Tensor};
@@ -173,8 +174,8 @@ fn bench_conv_cache(c: &mut Criterion) {
 }
 
 /// End-to-end SPOT secure convolution at 1 vs 4 server threads — the
-/// executor's parallel phase covers the per-ciphertext conv work, so
-/// this shows the real (not simulated) scaling of a phased session.
+/// stream's worker pool covers the per-ciphertext conv work, so this
+/// shows the real (not simulated) scaling of a streamed session.
 fn bench_executor_threads(c: &mut Criterion) {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let input = Tensor::random(8, 12, 12, 6, 21);
@@ -185,7 +186,7 @@ fn bench_executor_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv/spot_e2e_8ch_12x12");
     group.sample_size(10);
     for threads in [1usize, 4] {
-        let backend = ExecBackend::Phased(Executor::new(threads));
+        let cfg = StreamConfig::new(Executor::new(threads), 2);
         group.bench_function(format!("threads_{threads}"), |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(10);
@@ -198,7 +199,7 @@ fn bench_executor_threads(c: &mut Criterion) {
                     (6, 6),
                     PatchMode::Tweaked,
                     SchemeKind::Spot,
-                    &backend,
+                    &cfg,
                     &mut rng,
                 )
                 .expect("in-process SPOT session")

@@ -29,8 +29,9 @@ use spot_core::executor::Executor;
 use spot_core::heconv::{ConvRequest, HeConvEngine};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
-use spot_core::session::{run_in_process, ExecBackend, SchemeKind};
+use spot_core::session::{run_in_process, SchemeKind};
 use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
+use spot_core::stream::StreamConfig;
 use spot_he::arch;
 use spot_he::evaluator::OpCounts;
 use spot_he::prelude::*;
@@ -244,7 +245,7 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
     let mut rng = StdRng::seed_from_u64(5);
     let keygen = KeyGenerator::new(&ctx, &mut rng);
     let kernel_t = spot_tensor::tensor::Kernel::random(4, 2, 3, 3, 3, 7);
-    let backend = ExecBackend::Phased(Executor::serial());
+    let cfg = StreamConfig::new(Executor::serial(), 2);
     for (b, op) in [
         (1usize, "conv_batched_b1"),
         (2, "conv_batched_b2"),
@@ -266,7 +267,7 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
                     (4, 4),
                     PatchMode::Tweaked,
                     SchemeKind::Spot,
-                    &backend,
+                    &cfg,
                     &mut r,
                 )
                 .expect("batched conv session"),

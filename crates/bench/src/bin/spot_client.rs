@@ -19,7 +19,8 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
-use spot_core::session::{ExecBackend, SchemeKind};
+use spot_core::session::{SchemeKind, ServeOptions};
+use spot_core::stream::StreamConfig;
 use spot_core::twoparty::{run_client_batch, run_server};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
@@ -67,7 +68,8 @@ fn mem_reference(
             &ctx_s,
             &st,
             &cnn_s,
-            &ExecBackend::Phased(Executor::serial()),
+            &StreamConfig::new(Executor::serial(), 2),
+            ServeOptions::default(),
             &mut rng,
         )
     });

@@ -19,12 +19,15 @@
 //! leveled logger (`SPOT_LOG=debug` for per-session detail).
 //!
 //! ```text
-//! spot-server [--listen 127.0.0.1:7341] [--backend streaming|phased]
-//!             [--threads N] [--capacity N] [--seed S] [--trace out.json]
-//!             [--once] [--max-sessions N] [--max-batch N] [--pool N]
-//!             [--serve N] [--read-timeout-ms MS] [--admin ADDR]
-//!             [--linger-ms MS]
+//! spot-server [--listen 127.0.0.1:7341] [--threads N] [--capacity N]
+//!             [--seed S] [--trace out.json] [--once] [--max-sessions N]
+//!             [--max-batch N] [--pool N] [--serve N]
+//!             [--read-timeout-ms MS] [--admin ADDR] [--linger-ms MS]
 //! ```
+//!
+//! Every session streams: each conv layer convolves input ciphertexts
+//! as they arrive, on `--threads` workers behind a `--capacity`-deep
+//! queue.
 //!
 //! [`ModelContext`]: spot_core::serving::ModelContext
 
@@ -34,7 +37,7 @@ use spot_core::admin::AdminServer;
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::serving::{ModelContext, ServingConfig, SpotServer};
-use spot_core::session::ExecBackend;
+use spot_core::session::ServeOptions;
 use spot_core::stream::StreamConfig;
 use spot_core::twoparty::run_server;
 use spot_he::context::Context;
@@ -57,7 +60,6 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:7341".into());
-    let backend_name = arg_value(&args, "--backend").unwrap_or_else(|| "streaming".into());
     let threads: usize = arg_value(&args, "--threads")
         .map(|v| v.parse().expect("--threads takes a number"))
         .unwrap_or(2);
@@ -81,7 +83,6 @@ fn main() {
             &listener,
             &ctx,
             &cnn,
-            &backend_name,
             threads,
             capacity,
             seed,
@@ -109,17 +110,11 @@ fn main() {
         .map(|v| v.parse().expect("--linger-ms takes a number"))
         .unwrap_or(0);
 
-    let streaming = match backend_name.as_str() {
-        "phased" => false,
-        "streaming" => true,
-        other => panic!("unknown backend {other:?} (use streaming|phased)"),
-    };
     let config = ServingConfig {
         max_sessions,
         max_batch,
         threads_per_session: threads,
         pool_workers,
-        streaming,
         channel_capacity: capacity,
         base_seed: seed,
     };
@@ -133,8 +128,8 @@ fn main() {
     });
 
     println!(
-        "spot-server: listening on {} (serving mode, backend {backend_name}, max {max_sessions} \
-         sessions, {pool_workers} pool workers)",
+        "spot-server: listening on {} (serving mode, max {max_sessions} sessions, \
+         {pool_workers} pool workers)",
         listener.local_addr().expect("local addr")
     );
 
@@ -212,20 +207,15 @@ fn serve_once(
     listener: &TcpListener,
     ctx: &Arc<Context>,
     cnn: &TinyCnn,
-    backend_name: &str,
     threads: usize,
     capacity: usize,
     seed: u64,
     trace_path: Option<&str>,
     trace_baseline: Option<&spot_trace::CounterSnapshot>,
 ) {
-    let backend = match backend_name {
-        "phased" => ExecBackend::Phased(Executor::new(threads)),
-        "streaming" => ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), capacity)),
-        other => panic!("unknown backend {other:?} (use streaming|phased)"),
-    };
+    let cfg = StreamConfig::new(Executor::new(threads), capacity);
     println!(
-        "spot-server: listening on {} (backend {backend_name}, {threads} threads)",
+        "spot-server: listening on {} ({threads} threads, capacity {capacity})",
         listener.local_addr().expect("local addr")
     );
     let (stream, peer) = listener.accept().expect("accept client");
@@ -233,7 +223,15 @@ fn serve_once(
     let transport = TcpTransport::from_stream(stream).expect("wrap stream");
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let report = run_server(ctx, &transport, cnn, &backend, &mut rng).expect("server session");
+    let report = run_server(
+        ctx,
+        &transport,
+        cnn,
+        &cfg,
+        ServeOptions::default(),
+        &mut rng,
+    )
+    .expect("server session");
 
     println!(
         "spot-server: done — {} input cts, {} output cts, {} rotations, {} plain mults",
@@ -263,15 +261,13 @@ fn serve_once(
             );
         }
     }
-    if report.stream.input_items > 0 {
-        println!(
-            "{}",
-            stall_table(
-                "Measured stall accounting (both conv layers)",
-                &[report.stream.stall_row("TinyCnn server")]
-            )
-        );
-    }
+    println!(
+        "{}",
+        stall_table(
+            "Measured stall accounting (both conv layers)",
+            &[report.stream.stall_row("TinyCnn server")]
+        )
+    );
     let stats = transport.stats();
     let link = LinkModel::lan();
     println!(

@@ -3,7 +3,8 @@
 //! Table-I-class layer with a single-thread server and a 2-ciphertext
 //! client budget, then dumps the measured stall table, a Gantt-style
 //! span trace per scheme (from the `spot-trace` layer), and the
-//! spot-he buffer pool's steady-state allocation counters.
+//! spot-he buffer pool's allocation counters over a cold and a warm
+//! streamed layer.
 //!
 //! ```text
 //! stream-timeline [--trace out.json]
@@ -15,14 +16,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::inference::{run_conv_backend, ExecBackend, Scheme};
+use spot_core::inference::{run_conv_backend, Scheme};
 use spot_core::patching::PatchMode;
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::pool;
 use spot_he::prelude::*;
 use spot_pipeline::report::stall_table;
 use spot_tensor::tensor::{Kernel, Tensor};
-use spot_trace::{Cat, Event, Phase};
+use spot_trace::{Cat, Counter, Event, Phase};
 
 const MAX_EVENTS: usize = 48;
 
@@ -115,10 +116,9 @@ fn main() {
             (4, 4),
             PatchMode::Tweaked,
             scheme,
-            &ExecBackend::Streaming(cfg),
+            &cfg,
             &mut rng,
         );
-        let stats = stats.expect("streaming backend reports stats");
         rows.push(stats.stall_row(scheme.name()));
         let events = spot_trace::take_events();
         all_events.extend(events.iter().cloned());
@@ -139,59 +139,46 @@ fn main() {
         dump_gantt(*scheme, stats, events, &threads);
     }
 
-    // Buffer-pool steady state: the same serial phased layer twice on
-    // this thread — the second (warm) run draws its polynomial buffers
-    // from the pool instead of the allocator.
-    println!("== spot-he buffer pool: cold vs warm serial SPOT layer ==");
+    // Buffer-pool reuse: the same streamed SPOT layer twice. A streamed
+    // layer runs on scoped client, ingest and worker threads, each with
+    // its own thread-local pool, so the process-wide pool counters are
+    // read around each run instead of this thread's pool stats. Pools
+    // on threads that exit with the layer are lost, so the warm run
+    // reuses only what the calling thread kept plus in-run recycling.
+    println!("== spot-he buffer pool: cold vs warm streamed SPOT layer ==");
     let small_in = Tensor::random(4, 8, 8, 8, 11);
     let small_k = Kernel::random(4, 4, 3, 3, 4, 12);
-    // Give the pool room for a whole layer's buffers so the warm run
-    // measures pure steady-state reuse (streamed runs instead bound the
-    // producer pool by the client's ciphertext budget).
-    let prev_cap = pool::capacity();
-    pool::set_capacity(512);
     pool::clear();
-    pool::reset_stats();
     let mut rng = StdRng::seed_from_u64(9900);
-    let _ = spot_core::spot::execute(
-        &ctx,
-        &keygen,
-        &small_in,
-        &small_k,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-        &mut rng,
-    );
-    let cold = pool::stats();
-    pool::reset_stats();
-    let _ = spot_core::spot::execute(
-        &ctx,
-        &keygen,
-        &small_in,
-        &small_k,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-        &mut rng,
-    );
-    let warm = pool::stats();
-    for (tag, s) in [("cold", &cold), ("warm", &warm)] {
+    let mut pool_layer = || {
+        let before = spot_trace::counters();
+        let _ = spot_core::spot::execute(
+            &ctx,
+            &keygen,
+            &small_in,
+            &small_k,
+            1,
+            (4, 4),
+            PatchMode::Tweaked,
+            &mut rng,
+        );
+        let d = spot_trace::counters().delta(&before);
+        (d.get(Counter::PoolMiss), d.get(Counter::PoolHit))
+    };
+    let cold = pool_layer();
+    let warm = pool_layer();
+    let reuse = |(miss, hit): (u64, u64)| 100.0 * hit as f64 / (miss + hit).max(1) as f64;
+    for (tag, (miss, hit)) in [("cold", cold), ("warm", warm)] {
         println!(
-            "{tag}: fresh {:>6}  reused {:>6}  recycled {:>6}  dropped {:>6}  (reuse {:.1}%)",
-            s.fresh,
-            s.reused,
-            s.recycled,
-            s.dropped,
-            100.0 * s.reused as f64 / s.takes().max(1) as f64
+            "{tag}: fresh {miss:>6}  reused {hit:>6}  (reuse {:.1}%)",
+            reuse((miss, hit))
         );
     }
-    pool::set_capacity(prev_cap);
     println!(
-        "\nSteady state: the warm layer's fresh allocations drop {:.0}x\n\
-         while its buffer reuse covers {:.1}% of takes.",
-        cold.fresh as f64 / (warm.fresh.max(1)) as f64,
-        100.0 * warm.reused as f64 / warm.takes().max(1) as f64
+        "\nThe warm layer allocates {:.1}x fewer fresh buffers than the cold one;\n\
+         its buffer reuse covers {:.1}% of takes.",
+        cold.0 as f64 / (warm.0.max(1)) as f64,
+        reuse(warm)
     );
 
     if let Some(path) = &trace_path {

@@ -16,7 +16,8 @@ use crate::executor::Executor;
 use crate::heconv::{ChannelMap, GroupSpec};
 use crate::layout::next_pow2;
 use crate::patching::PatchMode;
-use crate::session::{run_in_process, ExecBackend, SchemeKind};
+use crate::session::{run_in_process, SchemeKind};
+use crate::stream::StreamConfig;
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -148,9 +149,10 @@ pub(crate) fn group_spec(geo: &ChannelwiseGeometry, out_ct: usize, c_out: usize)
     GroupSpec { out_ch }
 }
 
-/// Executes the channel-wise secure convolution end to end on a single
-/// thread (functional path used by tests and small workloads). Other
-/// backends and batches run through [`crate::session::run_in_process`].
+/// Executes the channel-wise secure convolution end to end with a
+/// one-worker server and a two-ciphertext uplink (functional path used
+/// by tests and small workloads). Other stream configurations and
+/// batches run through [`crate::session::run_in_process`].
 ///
 /// # Panics
 ///
@@ -173,7 +175,7 @@ pub fn execute<R: Rng>(
         (0, 0),
         PatchMode::Vanilla,
         SchemeKind::Channelwise,
-        &ExecBackend::Phased(Executor::serial()),
+        &StreamConfig::new(Executor::serial(), 2),
         rng,
     )
     .expect("in-process channelwise session")

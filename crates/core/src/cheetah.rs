@@ -29,7 +29,8 @@
 use crate::channelwise::SecureConvResult;
 use crate::executor::Executor;
 use crate::patching::PatchMode;
-use crate::session::{run_in_process, ExecBackend, SchemeKind};
+use crate::session::{run_in_process, SchemeKind};
+use crate::stream::StreamConfig;
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -86,8 +87,9 @@ pub fn geometry(shape: &ConvShape, level: ParamLevel) -> CheetahGeometry {
     }
 }
 
-/// Executes the Cheetah-style secure convolution (functional path) on a
-/// single thread. Other backends and batches run through
+/// Executes the Cheetah-style secure convolution (functional path) with
+/// a one-worker server and a two-ciphertext uplink. Other stream
+/// configurations and batches run through
 /// [`crate::session::run_in_process`].
 ///
 /// # Panics
@@ -111,7 +113,7 @@ pub fn execute<R: Rng>(
         (0, 0),
         PatchMode::Vanilla,
         SchemeKind::Cheetah,
-        &ExecBackend::Phased(Executor::serial()),
+        &StreamConfig::new(Executor::serial(), 2),
         rng,
     )
     .expect("in-process cheetah session")

@@ -6,10 +6,9 @@
 use crate::executor::Executor;
 use crate::patching::PatchMode;
 use crate::session::{run_in_process, SchemeKind};
-use crate::stream::StreamStats;
+use crate::stream::{StreamConfig, StreamStats};
 use crate::{channelwise, cheetah, select, spot};
 
-pub use crate::session::ExecBackend;
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
@@ -57,18 +56,17 @@ impl Scheme {
     }
 }
 
-/// Runs one secure-convolution session under `scheme` with the chosen
-/// backend over a batch of same-shape images (a thin wrapper over
-/// [`crate::session::run_in_process`]): shared ciphertexts for the
-/// slot-packed schemes, sequential images for Cheetah. Returns each
-/// image's functional result in submission order — op and ciphertext
-/// counts on the results are per batch — plus the measured
-/// [`StreamStats`] when the streaming backend ran (`None` for the
-/// phased backend).
+/// Runs one secure-convolution session under `scheme` with the given
+/// stream configuration over a batch of same-shape images (a thin
+/// wrapper over [`crate::session::run_in_process`]): shared ciphertexts
+/// for the slot-packed schemes, sequential images for Cheetah. Returns
+/// each image's functional result in submission order — op and
+/// ciphertext counts on the results are per batch — plus the measured
+/// [`StreamStats`].
 ///
-/// Both backends draw randomness in the same order, so for a given rng
-/// seed the returned shares and op counts are bit-identical across
-/// backends, thread counts, and channel capacities.
+/// Randomness is drawn in a fixed order, so for a given rng seed the
+/// returned shares and op counts are bit-identical across thread
+/// counts and channel capacities.
 #[allow(clippy::too_many_arguments)]
 pub fn run_conv_backend<R: Rng + Send>(
     ctx: &Arc<Context>,
@@ -79,10 +77,10 @@ pub fn run_conv_backend<R: Rng + Send>(
     patch: (usize, usize),
     mode: PatchMode,
     scheme: Scheme,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     rng: &mut R,
-) -> (Vec<channelwise::SecureConvResult>, Option<StreamStats>) {
-    let mut outcome = run_in_process(
+) -> (Vec<channelwise::SecureConvResult>, StreamStats) {
+    let outcome = run_in_process(
         ctx,
         keygen,
         inputs,
@@ -91,11 +89,11 @@ pub fn run_conv_backend<R: Rng + Send>(
         patch,
         mode,
         scheme.kind(),
-        backend,
+        cfg,
         rng,
     )
     .expect("in-process secure convolution session");
-    let stream = outcome.stream.take();
+    let stream = outcome.stream.clone();
     (outcome.into_results(), stream)
 }
 
@@ -285,25 +283,26 @@ impl TinyCnn {
             keygen,
             input,
             scheme,
-            &ExecBackend::Phased(Executor::serial()),
+            &StreamConfig::new(Executor::serial(), 2),
             rng,
         );
         (out, channel)
     }
 
-    /// [`TinyCnn::forward_secure`] with an explicit execution backend.
+    /// [`TinyCnn::forward_secure`] with an explicit stream
+    /// configuration.
     ///
-    /// With [`ExecBackend::Streaming`], each convolution layer runs as a
-    /// real client/server pipeline and the returned [`StreamStats`]
-    /// accumulate the per-layer stall accounting end to end; the output
-    /// is bit-identical to the phased backend for the same rng seed.
+    /// Each convolution layer runs as a real client/server pipeline and
+    /// the returned [`StreamStats`] accumulate the per-layer stall
+    /// accounting end to end; the output is bit-identical across stream
+    /// configurations for the same rng seed.
     pub fn forward_secure_with<R: Rng + Send>(
         &self,
         ctx: &Arc<Context>,
         keygen: &KeyGenerator,
         input: &Tensor,
         scheme: Scheme,
-        backend: &ExecBackend,
+        cfg: &StreamConfig,
         rng: &mut R,
     ) -> (Tensor, Channel, StreamStats) {
         let t = ctx.params().plain_modulus();
@@ -314,7 +313,7 @@ impl TinyCnn {
                    chan: &mut Channel,
                    stats: &mut StreamStats,
                    rng: &mut R| {
-            let mut outcome = run_in_process(
+            let outcome = run_in_process(
                 ctx,
                 keygen,
                 std::slice::from_ref(input),
@@ -323,16 +322,14 @@ impl TinyCnn {
                 (4, 4),
                 PatchMode::Tweaked,
                 scheme.kind(),
-                backend,
+                cfg,
                 rng,
             )
             .expect("in-process secure convolution session");
             // Charge the convolution's real framed wire traffic to the
             // protocol channel alongside the OT rounds.
             chan.charge_traffic(&outcome.uplink, &outcome.downlink);
-            if let Some(s) = outcome.stream.take() {
-                stats.accumulate(&s);
-            }
+            stats.accumulate(&outcome.stream);
             outcome.into_results().remove(0)
         };
 
@@ -405,7 +402,6 @@ fn from_shares(c: &ShareVec, s: &ShareVec, channels: usize, h: usize, w: usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::StreamConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spot_he::params::EncryptionParams;
@@ -450,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_cnn_streaming_backend_matches_phased() {
+    fn tiny_cnn_secure_is_stream_config_invariant() {
         let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
         let mut rng = StdRng::seed_from_u64(42);
         let kg = KeyGenerator::new(&ctx, &mut rng);
@@ -458,25 +454,19 @@ mod tests {
         let input = Tensor::random(2, 8, 8, 5, 9);
         for scheme in Scheme::ALL {
             let mut rng_a = StdRng::seed_from_u64(77);
-            let (phased, chan_a, _) = cnn.forward_secure_with(
+            let (serial, chan_a, _) = cnn.forward_secure_with(
                 &ctx,
                 &kg,
                 &input,
                 scheme,
-                &ExecBackend::Phased(Executor::serial()),
+                &StreamConfig::new(Executor::serial(), 1),
                 &mut rng_a,
             );
             let mut rng_b = StdRng::seed_from_u64(77);
             let cfg = StreamConfig::new(Executor::new(2), 2);
-            let (streamed, chan_b, stats) = cnn.forward_secure_with(
-                &ctx,
-                &kg,
-                &input,
-                scheme,
-                &ExecBackend::Streaming(cfg),
-                &mut rng_b,
-            );
-            assert_eq!(phased, streamed, "scheme {}", scheme.name());
+            let (streamed, chan_b, stats) =
+                cnn.forward_secure_with(&ctx, &kg, &input, scheme, &cfg, &mut rng_b);
+            assert_eq!(serial, streamed, "scheme {}", scheme.name());
             assert_eq!(chan_a.total_bytes(), chan_b.total_bytes());
             assert!(stats.input_items > 0, "scheme {}", scheme.name());
             assert!(stats.wall_s > 0.0);

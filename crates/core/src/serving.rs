@@ -37,9 +37,9 @@ use crate::error::SpotError;
 use crate::executor::Executor;
 use crate::inference::TinyCnn;
 use crate::patching::PatchMode;
-use crate::session::{ExecBackend, SchemeKind, ServeOptions, SharedKernelCaches};
+use crate::session::{SchemeKind, ServeOptions, SharedKernelCaches};
 use crate::stream::{BatchAssembler, StreamConfig};
-use crate::twoparty::{run_client_batch, run_server_with, ServerReport};
+use crate::twoparty::{run_client_batch, run_server, ServerReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_he::context::Context;
@@ -201,10 +201,8 @@ pub struct ServingConfig {
     pub threads_per_session: usize,
     /// Extra worker slots shared by all sessions ([`WorkerPool::new`]).
     pub pool_workers: usize,
-    /// Serve with the streaming backend (convolve on arrival) instead
-    /// of the phased one.
-    pub streaming: bool,
-    /// Streaming-queue depth per session (ignored when phased).
+    /// Streaming-queue depth per session: input ciphertexts in flight
+    /// between the connection's ingest thread and its conv workers.
     pub channel_capacity: usize,
     /// Base seed; session `i` masks with [`session_seed`]`(base, i)`.
     pub base_seed: u64,
@@ -217,7 +215,6 @@ impl Default for ServingConfig {
             max_batch: None,
             threads_per_session: 1,
             pool_workers: 0,
-            streaming: false,
             channel_capacity: 2,
             base_seed: 1312,
         }
@@ -343,7 +340,7 @@ pub struct SessionReport {
     pub wall: Duration,
 }
 
-/// One streamed session's pipeline-overlap summary, kept in a bounded
+/// One session's pipeline-overlap summary, kept in a bounded
 /// ring on the server for the admin `/pipeline` view. Derived entirely
 /// from the server's own [`crate::stream::StreamStats`] — no client
 /// trace required — so it is available live, per session, the moment
@@ -372,11 +369,8 @@ pub struct PipelineSummary {
 }
 
 impl PipelineSummary {
-    fn from_report(id: u64, wall: Duration, report: &ServerReport) -> Option<Self> {
+    fn from_report(id: u64, wall: Duration, report: &ServerReport) -> Self {
         let s = &report.stream;
-        if s.input_items == 0 {
-            return None; // phased session: no streaming pipeline to attribute
-        }
         let busy = s.server_busy_s;
         let idle = s.server_idle_s;
         let efficiency = if busy + idle > 0.0 {
@@ -384,7 +378,7 @@ impl PipelineSummary {
         } else {
             0.0
         };
-        Some(Self {
+        Self {
             id,
             wall_ms: wall.as_secs_f64() * 1e3,
             input_items: s.input_items,
@@ -394,7 +388,7 @@ impl PipelineSummary {
             server_idle_s: idle,
             client_blocked_s: s.client_blocked_s,
             efficiency,
-        })
+        }
     }
 }
 
@@ -478,9 +472,8 @@ impl SpotServer {
             .collect()
     }
 
-    /// The overlap summaries of the most recent streamed sessions
-    /// (oldest first, at most 32) — the admin `/pipeline` view. Phased
-    /// sessions stream nothing and are not recorded.
+    /// The overlap summaries of the most recent successful sessions
+    /// (oldest first, at most 32) — the admin `/pipeline` view.
     pub fn pipeline_recent(&self) -> Vec<PipelineSummary> {
         let ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
         ring.iter().copied().collect()
@@ -558,22 +551,17 @@ impl SpotServer {
         let span = spot_trace::span(Cat::Server, "session").arg("session", id);
 
         let claim = self.pool.claim(self.config.threads_per_session);
-        let ex = Executor::new(claim.threads());
-        let backend = if self.config.streaming {
-            ExecBackend::Streaming(StreamConfig::new(ex, self.config.channel_capacity))
-        } else {
-            ExecBackend::Phased(ex)
-        };
+        let cfg = StreamConfig::new(Executor::new(claim.threads()), self.config.channel_capacity);
         let opts = ServeOptions {
             shared: Some(self.model.caches()),
             max_batch: self.config.max_batch,
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let result = run_server_with(
+        let result = run_server(
             self.model.context(),
             transport,
             self.model.cnn(),
-            &backend,
+            &cfg,
             opts,
             &mut rng,
         );
@@ -609,22 +597,21 @@ impl SpotServer {
         let wall = t0.elapsed();
         self.metrics.session_wall_ns.observe(wall.as_nanos() as u64);
         if let Ok(report) = &result {
-            if let Some(summary) = PipelineSummary::from_report(id, wall, report) {
-                self.metrics
-                    .overlap_efficiency_ppm
-                    .observe((summary.efficiency * 1e6) as u64);
-                self.metrics
-                    .overlap_server_idle_ns
-                    .observe((summary.server_idle_s * 1e9) as u64);
-                self.metrics
-                    .overlap_client_blocked_ns
-                    .observe((summary.client_blocked_s * 1e9) as u64);
-                let mut ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
-                if ring.len() == PIPELINE_RING {
-                    ring.pop_front();
-                }
-                ring.push_back(summary);
+            let summary = PipelineSummary::from_report(id, wall, report);
+            self.metrics
+                .overlap_efficiency_ppm
+                .observe((summary.efficiency * 1e6) as u64);
+            self.metrics
+                .overlap_server_idle_ns
+                .observe((summary.server_idle_s * 1e9) as u64);
+            self.metrics
+                .overlap_client_blocked_ns
+                .observe((summary.client_blocked_s * 1e9) as u64);
+            let mut ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
+            if ring.len() == PIPELINE_RING {
+                ring.pop_front();
             }
+            ring.push_back(summary);
         }
         SessionReport {
             id,
@@ -836,15 +823,13 @@ mod tests {
             output_cts: 4,
             batch: 1,
         };
-        // Phased run: nothing streamed, nothing to attribute.
-        assert!(PipelineSummary::from_report(0, Duration::from_millis(5), &report).is_none());
         report.stream.input_items = 4;
         report.stream.output_items = 4;
         report.stream.server_threads = 2;
         report.stream.server_busy_s = 3.0;
         report.stream.server_idle_s = 1.0;
         report.stream.client_blocked_s = 0.25;
-        let s = PipelineSummary::from_report(7, Duration::from_millis(5), &report).unwrap();
+        let s = PipelineSummary::from_report(7, Duration::from_millis(5), &report);
         assert_eq!(s.id, 7);
         assert_eq!(s.input_items, 4);
         assert!((s.efficiency - 0.75).abs() < 1e-12);

@@ -8,9 +8,9 @@
 //!   additive shares ([`ClientConv::send_all`] /
 //!   [`ClientConv::absorb_all`]).
 //! * [`serve_conv`] — the server: reads the [`ConvSetup`] hello,
-//!   validates the client's rotation keys, convolves under HE (phased
-//!   or streamed per [`ExecBackend`]), and returns masked results while
-//!   keeping its own additive shares.
+//!   validates the client's rotation keys, convolves each ciphertext
+//!   under HE as it streams in (see [`crate::stream`]), and returns
+//!   masked results while keeping its own additive shares.
 //!
 //! A session carries a batch of `B ≥ 1` images; a one-image session is
 //! the degenerate batch, byte-identical on the wire to the pre-batching
@@ -27,12 +27,11 @@
 //! masks, in result order (the streaming consumer runs on one thread
 //! in index order), after one per-image seed each when `B > 1`.
 //! Parallel phases are pure. Shares are therefore bit-identical across
-//! backends, thread counts, channel capacities, and transports.
+//! thread counts, channel capacities, and transports.
 
 use crate::channelwise::{self, SecureConvResult};
 use crate::cheetah;
 use crate::error::SpotError;
-use crate::executor::Executor;
 use crate::heconv::{
     required_elements, ChannelMap, ConvRequest, GroupSpec, HeConvEngine, KernelCache,
 };
@@ -465,21 +464,6 @@ fn plan_batch_capacity(detail: &PlanDetail) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Execution backend
-// ---------------------------------------------------------------------
-
-/// How a secure convolution's server work is driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// Two sequential phases: receive every ciphertext, then fan the
-    /// convolutions across the executor pool.
-    Phased(Executor),
-    /// Real pipelining via [`crate::stream`]: uploads stream through a
-    /// bounded channel overlapped with server convolution.
-    Streaming(StreamConfig),
-}
-
-// ---------------------------------------------------------------------
 // Small helpers
 // ---------------------------------------------------------------------
 
@@ -545,9 +529,9 @@ fn recv_input_blob(
     Ok(blob)
 }
 
-/// [`recv_input_blob`] plus immediate deserialization, for the phased
-/// and all-input (barrier) paths where decode time is part of the
-/// upload span anyway.
+/// [`recv_input_blob`] plus immediate deserialization, for the
+/// all-input (barrier) schemes where decode time is part of the upload
+/// span anyway.
 fn recv_input_ct(
     transport: &dyn Transport,
     ctx: &Arc<Context>,
@@ -623,9 +607,12 @@ fn cheetah_chunk_coeffs(
 /// rotation keys are validated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UploadPacing {
-    /// Push everything immediately. Correct for the phased in-process
-    /// driver, where the server only starts consuming after the whole
-    /// upload is queued (waiting for an ack would deadlock).
+    /// Push everything immediately, leaving the server's setup
+    /// acknowledgement unread. For clients whose concurrent absorber
+    /// owns the downlink (the acknowledgement arrives there, and the
+    /// transport's own flow control paces the upload), and for
+    /// sequential test drivers that queue the whole upload before the
+    /// server runs (waiting for an ack would deadlock).
     Eager,
     /// Hold input ciphertexts until the server acknowledges the setup
     /// and keys. This keeps the upload inside the server's measured
@@ -1163,9 +1150,9 @@ impl SharedKernelCaches {
     }
 }
 
-/// Server-side knobs for one [`serve_conv_with`] call. The default is
-/// exactly the single-tenant [`serve_conv`] behaviour: private caches,
-/// no batch cap beyond the layer's SIMD capacity.
+/// Server-side knobs for one [`serve_conv`] call. The default is the
+/// single-tenant behaviour: private caches, no batch cap beyond the
+/// layer's SIMD capacity.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeOptions<'a> {
     /// Model-wide kernel caches to share across sessions (`None` =
@@ -1192,38 +1179,21 @@ pub struct ServerConvSummary {
     pub input_cts: usize,
     /// Masked result ciphertexts sent.
     pub output_cts: usize,
-    /// Streaming stall accounting (None for the phased backend).
-    pub stream: Option<StreamStats>,
+    /// Streaming stall accounting.
+    pub stream: StreamStats,
 }
 
 /// Server half of one secure-convolution layer: reads the hello,
-/// validates keys, convolves (phased or streamed), masks results back,
-/// and keeps the server's additive share. Draws only result masks from
+/// validates keys, streams the upload through `cfg`'s bounded channel
+/// into the convolution workers, masks results back, and keeps the
+/// server's additive share. `opts` carries the serving-layer knobs
+/// (shared kernel caches, batch budget). Draws only result masks from
 /// `rng`, in result order.
 pub fn serve_conv<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
     kernel: &Kernel,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> Result<ServerConvSummary, SpotError> {
-    serve_conv_with(
-        ctx,
-        transport,
-        kernel,
-        backend,
-        ServeOptions::default(),
-        rng,
-    )
-}
-
-/// [`serve_conv`] with serving-layer options: shared per-model kernel
-/// caches and a per-session batch budget (see [`ServeOptions`]).
-pub fn serve_conv_with<R: Rng>(
-    ctx: &Arc<Context>,
-    transport: &dyn Transport,
-    kernel: &Kernel,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     opts: ServeOptions<'_>,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
@@ -1357,11 +1327,11 @@ pub fn serve_conv_with<R: Rng>(
             &groups,
             galois,
             caches.into_iter().next().expect("one channelwise cache"),
-            backend,
+            cfg,
             &mut masks,
         ),
         PlanDetail::Cheetah { geo } => {
-            serve_cheetah(ctx, transport, kernel, &spec, &geo, backend, &mut masks)
+            serve_cheetah(ctx, transport, kernel, &spec, &geo, cfg, &mut masks)
         }
         PlanDetail::Spot {
             blk,
@@ -1373,7 +1343,7 @@ pub fn serve_conv_with<R: Rng>(
             input_cts,
         } => serve_spot(
             ctx, transport, kernel, &spec, &blk, &probe, &layouts, &class_cts, &groups, &in_maps,
-            input_cts, galois, caches, backend, &mut masks,
+            input_cts, galois, caches, cfg, &mut masks,
         ),
     };
     if let (Some(t0), Ok(_)) = (serve_start, &result) {
@@ -1401,7 +1371,7 @@ fn serve_channelwise(
     groups: &[GroupSpec],
     galois: Arc<GaloisKeys>,
     cache: KernelCache,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     masks: &mut [&mut dyn RngCore],
 ) -> Result<ServerConvSummary, SpotError> {
     let shape = &spec.shape;
@@ -1431,34 +1401,22 @@ fn serve_channelwise(
         (partials, c)
     };
 
-    let (per_ct, stream) = match backend {
-        ExecBackend::Phased(ex) => {
-            let mut cts = Vec::with_capacity(geo.input_cts);
+    let mut per_ct = Vec::with_capacity(geo.input_cts);
+    let stream = run_stream_barrier(
+        cfg,
+        geo.input_cts,
+        |feeder| {
             for j in 0..geo.input_cts {
-                cts.push(recv_input_ct(transport, ctx, j, 0)?);
+                feeder.push(recv_input_ct(transport, ctx, j, 0)?)?;
             }
-            (ex.run(&cts, |j, ct| conv_one(j, ct)), None)
-        }
-        ExecBackend::Streaming(cfg) => {
-            let mut per_ct = Vec::with_capacity(geo.input_cts);
-            let stats = run_stream_barrier(
-                cfg,
-                geo.input_cts,
-                |feeder| {
-                    for j in 0..geo.input_cts {
-                        feeder.push(recv_input_ct(transport, ctx, j, 0)?)?;
-                    }
-                    Ok(())
-                },
-                |j, inputs: &[Ciphertext]| conv_one(j, &inputs[j]),
-                |_, r| {
-                    per_ct.push(r);
-                    Ok(())
-                },
-            )?;
-            (per_ct, Some(stats))
-        }
-    };
+            Ok(())
+        },
+        |j, inputs: &[Ciphertext]| conv_one(j, &inputs[j]),
+        |_, r| {
+            per_ct.push(r);
+            Ok(())
+        },
+    )?;
 
     // Cross-ciphertext accumulation in input order, as a serial run.
     let mut out_cts: Vec<Option<Ciphertext>> = vec![None; geo.output_cts];
@@ -1527,7 +1485,7 @@ fn serve_cheetah(
     kernel: &Kernel,
     spec: &LayerSpec,
     geo: &cheetah::CheetahGeometry,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     masks: &mut [&mut dyn RngCore],
 ) -> Result<ServerConvSummary, SpotError> {
     let shape = &spec.shape;
@@ -1577,75 +1535,48 @@ fn serve_cheetah(
     let ph = (shape.k_h - 1) / 2;
     let pw = (shape.k_w - 1) / 2;
     let base = (chunk_cap - 1) * s_ch;
-    // Masks the accumulated product for output channel `o`, sends it,
-    // and records the server's share — masks strictly in `seq` order.
-    let absorb = |seq: u32,
-                  o: usize,
-                  (out_ct, c_local): (Ciphertext, OpCounts),
-                  counts: &mut OpCounts,
-                  server_share: &mut Tensor,
-                  mask: &mut &mut dyn RngCore|
-     -> Result<(), SpotError> {
-        counts.merge(&c_local);
-        let r = draw_mask(mask, n, t);
-        let masked = evaluator.sub_plain(&out_ct, &Plaintext::from_coeffs(r.clone()));
-        counts.add += 1;
-        transport.send(&WireMessage::MaskedResult {
-            seq,
-            blob: masked.to_bytes(),
-        })?;
-        for y in 0..oh {
-            for x in 0..ow {
-                let idx = base + (y * shape.stride + ph) * wp + (x * shape.stride + pw);
-                *server_share.at_mut(o, y, x) = r[idx] as i64;
-            }
-        }
-        Ok(())
-    };
-
     // Coefficient packing shares no slots, so a batch is its images in
     // sequence over one session (sequence numbers keep counting); each
     // image's masks come from its own source.
     let batch = masks.len();
     let mut shares: Vec<Tensor> = Vec::with_capacity(batch);
-    let mut stream_acc: Option<StreamStats> = None;
+    let mut stream = StreamStats::default();
     for (b, mask) in masks.iter_mut().enumerate() {
         let mut share_b = Tensor::zeros(shape.c_out, oh, ow);
         let seq_in = b * input_cts;
         let seq_out = (b * shape.c_out) as u32;
-        match backend {
-            ExecBackend::Phased(ex) => {
-                let mut cts = Vec::with_capacity(input_cts);
+        let stats = run_stream_barrier(
+            cfg,
+            shape.c_out,
+            |feeder| {
                 for j in 0..input_cts {
-                    cts.push(recv_input_ct(transport, ctx, seq_in + j, 0)?);
+                    feeder.push(recv_input_ct(transport, ctx, seq_in + j, 0)?)?;
                 }
-                let out_channels: Vec<usize> = (0..shape.c_out).collect();
-                let accumulated = ex.run(&out_channels, |_, &o| product_for(o, &cts));
-                for (o, acc) in accumulated.into_iter().enumerate() {
-                    absorb(seq_out + o as u32, o, acc, &mut counts, &mut share_b, mask)?;
+                Ok(())
+            },
+            |o, inputs: &[Ciphertext]| product_for(o, inputs),
+            // Mask the accumulated product for output channel `o`, send
+            // it, and record the server's share — masks strictly in
+            // `seq` order.
+            |o, (out_ct, c_local): (Ciphertext, OpCounts)| {
+                counts.merge(&c_local);
+                let r = draw_mask(mask, n, t);
+                let masked = evaluator.sub_plain(&out_ct, &Plaintext::from_coeffs(r.clone()));
+                counts.add += 1;
+                transport.send(&WireMessage::MaskedResult {
+                    seq: seq_out + o as u32,
+                    blob: masked.to_bytes(),
+                })?;
+                for y in 0..oh {
+                    for x in 0..ow {
+                        let idx = base + (y * shape.stride + ph) * wp + (x * shape.stride + pw);
+                        *share_b.at_mut(o, y, x) = r[idx] as i64;
+                    }
                 }
-            }
-            ExecBackend::Streaming(cfg) => {
-                let counts_ref = &mut counts;
-                let share_ref = &mut share_b;
-                let stats = run_stream_barrier(
-                    cfg,
-                    shape.c_out,
-                    |feeder| {
-                        for j in 0..input_cts {
-                            feeder.push(recv_input_ct(transport, ctx, seq_in + j, 0)?)?;
-                        }
-                        Ok(())
-                    },
-                    |o, inputs: &[Ciphertext]| product_for(o, inputs),
-                    |o, acc| absorb(seq_out + o as u32, o, acc, counts_ref, share_ref, mask),
-                )?;
-                match &mut stream_acc {
-                    None => stream_acc = Some(stats),
-                    Some(acc) => acc.accumulate(&stats),
-                }
-            }
-        }
+                Ok(())
+            },
+        )?;
+        stream.accumulate(&stats);
         shares.push(share_b);
     }
 
@@ -1654,7 +1585,7 @@ fn serve_cheetah(
         counts,
         input_cts: batch * input_cts,
         output_cts: batch * shape.c_out,
-        stream: stream_acc,
+        stream,
     })
 }
 
@@ -1673,7 +1604,7 @@ fn serve_spot(
     input_cts: usize,
     galois: Arc<GaloisKeys>,
     caches: Vec<KernelCache>,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     masks: &mut [&mut dyn RngCore],
 ) -> Result<ServerConvSummary, SpotError> {
     let shape = &spec.shape;
@@ -1730,130 +1661,70 @@ fn serve_spot(
     // into per-image piece shares.
     let mut group_server: Vec<Vec<Vec<Vec<u64>>>> = vec![vec![Vec::new(); out_groups]; batch];
     let mut seen_cts = 0usize;
-    let absorb_ct = |ci: usize,
-                     outs: Vec<Ciphertext>,
-                     c: OpCounts,
-                     counts: &mut OpCounts,
-                     group_server: &mut Vec<Vec<Vec<Vec<u64>>>>,
-                     seen_cts: &mut usize,
-                     server_pieces: &mut Vec<Vec<Tensor>>,
-                     seq_out: &mut u32,
-                     masks: &mut [&mut dyn RngCore]|
-     -> Result<(), SpotError> {
-        counts.merge(&c);
-        for (g, out_ct) in outs.into_iter().enumerate() {
-            let rs = draw_masks(masks, n, t);
-            let masked = engines[ci].evaluator().sub_plain(
-                &out_ct,
-                &engines[ci]
-                    .encoder()
-                    .encode(&blayouts[ci].scatter_masks(&rs)),
-            );
-            counts.add += 1;
-            transport.send(&WireMessage::MaskedResult {
-                seq: *seq_out,
-                blob: masked.to_bytes(),
-            })?;
-            *seq_out += 1;
-            for (img, r) in rs.into_iter().enumerate() {
-                group_server[img][g].push(r);
-            }
-        }
-        *seen_cts += 1;
-        if *seen_cts == class_cts[ci] {
-            let (class, pieces) = &probe.classes[ci];
-            for (img, gs) in group_server.iter_mut().enumerate() {
-                server_pieces[img].extend(spot::unpack_class_share(
-                    blk,
-                    &layouts[ci],
-                    pieces.len(),
-                    class.h,
-                    class.w,
-                    shape.c_out,
-                    t,
-                    gs,
-                ));
-                for slots in gs.iter_mut() {
-                    slots.clear();
-                }
-            }
-            *seen_cts = 0;
-        }
-        Ok(())
-    };
-
-    let stream = match backend {
-        ExecBackend::Phased(ex) => {
-            // Receive the full upload, then convolve class by class.
-            let mut class_data: Vec<Vec<Ciphertext>> = vec![Vec::new(); layouts.len()];
+    let stream = run_stream(
+        cfg,
+        // Ingest: validate and forward each upload the moment it
+        // arrives — SPOT's per-input dependency means convolution
+        // starts immediately. Deserialization happens on the worker
+        // pool so the ingest thread goes straight back to the
+        // transport.
+        |feeder| {
             for (j, &ci) in ct_class.iter().enumerate() {
-                class_data[ci].push(recv_input_ct(transport, ctx, j, ci)?);
+                feeder.push((ci, recv_input_blob(transport, j, ci)?))?;
             }
-            for (ci, cts) in class_data.iter().enumerate() {
-                let convolved = ex.run(cts, |_, ct| conv_one(ci, ct));
-                for (outs, c) in convolved {
-                    absorb_ct(
-                        ci,
-                        outs,
-                        c,
-                        &mut counts,
-                        &mut group_server,
-                        &mut seen_cts,
-                        &mut server_pieces,
-                        &mut seq_out,
-                        masks,
-                    )?;
+            Ok(())
+        },
+        |_, (ci, blob): (usize, Vec<u8>)| {
+            let ct = Ciphertext::try_from_bytes(ctx, &blob)?;
+            let (outs, c) = conv_one(ci, &ct);
+            Ok::<_, SpotError>((ci, outs, c))
+        },
+        // Caller thread, in upload order: mask and return each result,
+        // overlapped with ongoing uploads.
+        |_, convolved| {
+            let (ci, outs, c) = convolved?;
+            counts.merge(&c);
+            for (g, out_ct) in outs.into_iter().enumerate() {
+                let rs = draw_masks(masks, n, t);
+                let masked = engines[ci].evaluator().sub_plain(
+                    &out_ct,
+                    &engines[ci]
+                        .encoder()
+                        .encode(&blayouts[ci].scatter_masks(&rs)),
+                );
+                counts.add += 1;
+                transport.send(&WireMessage::MaskedResult {
+                    seq: seq_out,
+                    blob: masked.to_bytes(),
+                })?;
+                seq_out += 1;
+                for (img, r) in rs.into_iter().enumerate() {
+                    group_server[img][g].push(r);
                 }
             }
-            None
-        }
-        ExecBackend::Streaming(cfg) => {
-            let counts_ref = &mut counts;
-            let group_server_ref = &mut group_server;
-            let seen_ref = &mut seen_cts;
-            let pieces_ref = &mut server_pieces;
-            let seq_ref = &mut seq_out;
-            let masks_ref = &mut *masks;
-            let ct_class_ref = &ct_class;
-            let conv_one_ref = &conv_one;
-            let stats = run_stream(
-                cfg,
-                // Ingest: validate and forward each upload the moment
-                // it arrives — SPOT's per-input dependency means
-                // convolution starts immediately. Deserialization
-                // happens on the worker pool so the ingest thread goes
-                // straight back to the transport.
-                |feeder| {
-                    for (j, &ci) in ct_class_ref.iter().enumerate() {
-                        feeder.push((ci, recv_input_blob(transport, j, ci)?))?;
+            seen_cts += 1;
+            if seen_cts == class_cts[ci] {
+                let (class, pieces) = &probe.classes[ci];
+                for (img, gs) in group_server.iter_mut().enumerate() {
+                    server_pieces[img].extend(spot::unpack_class_share(
+                        blk,
+                        &layouts[ci],
+                        pieces.len(),
+                        class.h,
+                        class.w,
+                        shape.c_out,
+                        t,
+                        gs,
+                    ));
+                    for slots in gs.iter_mut() {
+                        slots.clear();
                     }
-                    Ok(())
-                },
-                |_, (ci, blob): (usize, Vec<u8>)| {
-                    let ct = Ciphertext::try_from_bytes(ctx, &blob)?;
-                    let (outs, c) = conv_one_ref(ci, &ct);
-                    Ok::<_, SpotError>((ci, outs, c))
-                },
-                // Caller thread, in upload order: mask and return each
-                // result, overlapped with ongoing uploads.
-                |_, convolved| {
-                    let (ci, outs, c) = convolved?;
-                    absorb_ct(
-                        ci,
-                        outs,
-                        c,
-                        counts_ref,
-                        group_server_ref,
-                        seen_ref,
-                        pieces_ref,
-                        seq_ref,
-                        masks_ref,
-                    )
-                },
-            )?;
-            Some(stats)
-        }
-    };
+                }
+                seen_cts = 0;
+            }
+            Ok(())
+        },
+    )?;
 
     // Classes with zero pieces never trigger the unpack above; they
     // also contribute no pieces to the assembly, so nothing is lost.
@@ -1900,8 +1771,8 @@ pub struct BatchConvOutcome {
     pub output_cts: usize,
     /// Plaintext modulus the shares live in.
     pub modulus: u64,
-    /// Streaming stall accounting (None for the phased backend).
-    pub stream: Option<StreamStats>,
+    /// Streaming stall accounting.
+    pub stream: StreamStats,
     /// Client → server traffic (framed wire bytes).
     pub uplink: TrafficStats,
     /// Server → client traffic (framed wire bytes).
@@ -1934,11 +1805,11 @@ impl BatchConvOutcome {
 /// exchanging real serialized frames (see [`ClientConv::send_all`]).
 ///
 /// Client and server randomness is split deterministically from `rng`
-/// (one seed draw each, in that order) so phased and streaming runs of
-/// the same seed produce bit-identical shares. With the phased backend
-/// the parties run sequentially on the calling thread; with the
-/// streaming backend the client uploads from a second thread through a
-/// bounded uplink sized to the stream config's channel capacity.
+/// (one seed draw each, in that order) so runs of the same seed produce
+/// bit-identical shares at any thread count and channel capacity. The
+/// client uploads from a second thread through a bounded uplink sized
+/// to `cfg`'s channel capacity while the server streams on the calling
+/// thread.
 #[allow(clippy::too_many_arguments)]
 pub fn run_in_process<R: Rng>(
     ctx: &Arc<Context>,
@@ -1949,7 +1820,7 @@ pub fn run_in_process<R: Rng>(
     patch: (usize, usize),
     mode: PatchMode,
     scheme: SchemeKind,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     rng: &mut R,
 ) -> Result<BatchConvOutcome, SpotError> {
     let first = inputs
@@ -1974,68 +1845,49 @@ pub fn run_in_process<R: Rng>(
     let server_seed = rng.gen::<u64>();
     let client = ClientConv::new(ctx, keygen, spec)?;
 
-    let (sent, server, share, client_transport) = match backend {
-        ExecBackend::Phased(_) => {
-            let (ct, st) = MemTransport::pair();
-            let mut crng = StdRng::seed_from_u64(client_seed);
-            let sent = client.send_all(&ct, inputs, UploadPacing::Eager, &mut crng)?;
-            let mut srng = StdRng::seed_from_u64(server_seed);
-            let server = serve_conv(ctx, &st, kernel, backend, &mut srng)?;
-            let share = client.absorb_all(&ct, batch)?;
-            (sent, server, share, ct)
+    let (ct, st) = MemTransport::pair_with_capacity(Some(cfg.channel_capacity), None);
+    let scope_result = crossbeam::thread::scope(|s| {
+        let uploader = s.spawn(|_| {
+            let t0 = Instant::now();
+            let r = client.send_all(
+                &ct,
+                inputs,
+                UploadPacing::AwaitAck,
+                &mut StdRng::seed_from_u64(client_seed),
+            );
+            // Always close: a server stuck in recv after a client
+            // failure sees Closed instead of blocking forever.
+            ct.close_tx();
+            (r, t0.elapsed())
+        });
+        let mut srng = StdRng::seed_from_u64(server_seed);
+        let server_res = serve_conv(ctx, &st, kernel, cfg, ServeOptions::default(), &mut srng);
+        if server_res.is_err() {
+            // Unblock a client stuck on the bounded uplink.
+            ct.close_tx();
+            st.close_tx();
         }
-        ExecBackend::Streaming(cfg) => {
-            let (ct, st) = MemTransport::pair_with_capacity(Some(cfg.channel_capacity), None);
-            let ct_ref = &ct;
-            let st_ref = &st;
-            let client_ref = &client;
-            let scope_result = crossbeam::thread::scope(|s| {
-                let uploader = s.spawn(move |_| {
-                    let t0 = Instant::now();
-                    let r = client_ref.send_all(
-                        ct_ref,
-                        inputs,
-                        UploadPacing::AwaitAck,
-                        &mut StdRng::seed_from_u64(client_seed),
-                    );
-                    // Always close: a server stuck in recv after a client
-                    // failure sees Closed instead of blocking forever.
-                    ct_ref.close_tx();
-                    (r, t0.elapsed())
-                });
-                let mut srng = StdRng::seed_from_u64(server_seed);
-                let server_res = serve_conv(ctx, st_ref, kernel, backend, &mut srng);
-                if server_res.is_err() {
-                    // Unblock a client stuck on the bounded uplink.
-                    ct_ref.close_tx();
-                    st_ref.close_tx();
-                }
-                let (client_res, client_wall) = uploader.join().expect("client thread panicked");
-                (server_res, client_res, client_wall)
-            });
-            let (server_res, client_res, client_wall) = match scope_result {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            let mut server = server_res?;
-            let sent = client_res?;
-            // The barrier/stream stats measured the server's ingest loop
-            // as "client"; substitute the real client thread's wall time
-            // and the transport's measured send backpressure.
-            if let Some(stats) = server.stream.as_mut() {
-                let blocked = ct.stats().send_blocked.as_secs_f64();
-                stats.client_blocked_s = blocked;
-                stats.client_s = (client_wall.as_secs_f64() - blocked).max(0.0);
-            }
-            let share = client.absorb_all(&ct, batch)?;
-            (sent, server, share, ct)
-        }
+        let (client_res, client_wall) = uploader.join().expect("client thread panicked");
+        (server_res, client_res, client_wall)
+    });
+    let (server_res, client_res, client_wall) = match scope_result {
+        Ok(v) => v,
+        Err(payload) => std::panic::resume_unwind(payload),
     };
+    let mut server = server_res?;
+    let sent = client_res?;
+    // The barrier/stream stats measured the server's ingest loop as
+    // "client"; substitute the real client thread's wall time and the
+    // transport's measured send backpressure.
+    let blocked = ct.stats().send_blocked.as_secs_f64();
+    server.stream.client_blocked_s = blocked;
+    server.stream.client_s = (client_wall.as_secs_f64() - blocked).max(0.0);
+    let share = client.absorb_all(&ct, batch)?;
 
     let mut counts = server.counts;
     counts.encrypt += sent.encrypt;
     counts.decrypt += share.decrypt;
-    let tstats = client_transport.stats();
+    let tstats = ct.stats();
     Ok(BatchConvOutcome {
         client_shares: share.shares,
         server_shares: server.server_shares,

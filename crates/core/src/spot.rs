@@ -25,7 +25,8 @@ use crate::executor::Executor;
 use crate::heconv::{ChannelMap, GroupSpec};
 use crate::layout::{next_pow2, unpack_pieces, unpack_pieces_split, LaneLayout};
 use crate::patching::{decompose, PatchMode};
-use crate::session::{run_in_process, ExecBackend, SchemeKind};
+use crate::session::{run_in_process, SchemeKind};
+use crate::stream::StreamConfig;
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -195,9 +196,9 @@ pub(crate) fn unpack_class_share(
     class_out
 }
 
-/// Executes the SPOT secure convolution end to end on a single thread.
-/// Other backends and batches run through
-/// [`crate::session::run_in_process`].
+/// Executes the SPOT secure convolution end to end with a one-worker
+/// server and a two-ciphertext uplink. Other stream configurations and
+/// batches run through [`crate::session::run_in_process`].
 ///
 /// `patch` is the main patch size `(ph, pw)` (see [`crate::select`] for
 /// the Table VI selection); `mode` picks vanilla patching or overlap
@@ -227,7 +228,7 @@ pub fn execute<R: Rng>(
         patch,
         mode,
         SchemeKind::Spot,
-        &ExecBackend::Phased(Executor::serial()),
+        &StreamConfig::new(Executor::serial(), 2),
         rng,
     )
     .expect("in-process SPOT session")

@@ -1,17 +1,16 @@
 //! Streaming execution runtime: overlap client encryption with server
 //! convolution.
 //!
-//! The phased backend ([`crate::session::ExecBackend::Phased`]) runs
-//! *encrypt everything → convolve everything* as two sequential phases,
-//! so the pipelining that SPOT's structure patching enables existed only
-//! in the analytic simulator. This module makes it real: a **producer
-//! thread** (the client) packs and encrypts ciphertexts and pushes them
-//! through a [`BoundedQueue`] whose capacity is the tiny client's
-//! ciphertext budget ([`DeviceProfile::ciphertext_capacity`]); **server
-//! workers** (the PR 1 [`Executor`] pool, via [`Executor::run_workers`])
-//! pull each ciphertext the moment it arrives and convolve it; result
-//! shares flow back on an unbounded return queue for overlapped assembly
-//! on the caller's thread.
+//! Every server conv layer runs through this module, so the pipelining
+//! that SPOT's structure patching enables is real rather than only
+//! simulated: a **producer thread** (the server's ingest loop reading
+//! the transport) pushes ciphertexts through a [`BoundedQueue`] whose
+//! capacity is the tiny client's ciphertext budget
+//! ([`DeviceProfile::ciphertext_capacity`]); **server workers** (the
+//! [`Executor`] pool, via [`Executor::run_workers`]) pull each
+//! ciphertext the moment it arrives and convolve it; result shares
+//! flow back on an unbounded return queue for overlapped assembly on
+//! the caller's thread.
 //!
 //! Two drivers map the two output-dependency classes
 //! ([`crate::inference::plan_conv`]):
@@ -27,11 +26,12 @@
 //!
 //! ## Determinism
 //!
-//! All protocol randomness is drawn on the producer thread in exactly
-//! the phased driver's order; the parallel phase is pure; results are
-//! consumed in item order. Given the same rng seed, a streamed layer's
-//! shares are bit-identical to the phased layer's — enforced by
-//! `tests/streaming_determinism.rs` at 1 and 8 server threads.
+//! Protocol randomness is drawn on one thread in a fixed order (the
+//! server's result masks in the in-order consumer); the parallel phase
+//! is pure; results are consumed in item order. Given the same rng seed, a layer's shares are
+//! therefore bit-identical at any thread count and channel capacity —
+//! enforced by `tests/streaming_determinism.rs` (1 thread at capacity
+//! 1 against 8 threads at capacity 2).
 //!
 //! ## Stall accounting
 //!
@@ -397,11 +397,11 @@ where
 /// arrives; `consume` receives results **in item order** on the
 /// caller's thread, overlapped with ongoing production and convolution.
 ///
-/// Determinism contract: `producer` performs all rng draws in the
-/// phased order on its single thread; `work` must be pure (no shared
-/// mutable state, no randomness); `consume` runs sequentially in index
-/// order — so the composition is bit-identical to the phased loop for
-/// any thread count and channel capacity.
+/// Determinism contract: `producer` performs its rng draws in a fixed
+/// order on its single thread; `work` must be pure (no shared mutable
+/// state, no randomness); `consume` runs sequentially in index order —
+/// so the composition is bit-identical to a serial loop over the items
+/// for any thread count and channel capacity.
 pub fn run_stream<T, R, P, W, C>(
     config: &StreamConfig,
     producer: P,

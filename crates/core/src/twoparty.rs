@@ -24,10 +24,8 @@
 use crate::error::SpotError;
 use crate::inference::TinyCnn;
 use crate::patching::PatchMode;
-use crate::session::{
-    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
-};
-use crate::stream::StreamStats;
+use crate::session::{serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, UploadPacing};
+use crate::stream::{StreamConfig, StreamStats};
 use rand::Rng;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -357,7 +355,7 @@ pub struct ServerReport {
     /// whole batch; divide by [`batch`](Self::batch) for per-image
     /// amortized figures).
     pub counts: OpCounts,
-    /// Accumulated stall accounting (zero for the phased backend).
+    /// Stall accounting accumulated over both convolution layers.
     pub stream: StreamStats,
     /// Input ciphertexts received across all conv layers.
     pub input_cts: usize,
@@ -506,25 +504,14 @@ fn server_maxpool_round<R: Rng>(
 /// The batch width is learned from the client's conv1 `Setup` (the
 /// session layer returns one server share per batched image); the
 /// non-linear rounds then run per image with the round numbering
-/// described on [`run_client_batch`].
+/// described on [`run_client_batch`]. `opts` (shared per-model kernel
+/// caches, per-session batch budget) applies to both convolution
+/// layers.
 pub fn run_server<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
     cnn: &TinyCnn,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> Result<ServerReport, SpotError> {
-    run_server_with(ctx, transport, cnn, backend, ServeOptions::default(), rng)
-}
-
-/// [`run_server`] with serving-layer options ([`ServeOptions`]): shared
-/// per-model kernel caches and the per-session batch budget, applied to
-/// both convolution layers.
-pub fn run_server_with<R: Rng>(
-    ctx: &Arc<Context>,
-    transport: &dyn Transport,
-    cnn: &TinyCnn,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     opts: ServeOptions<'_>,
     rng: &mut R,
 ) -> Result<ServerReport, SpotError> {
@@ -538,9 +525,7 @@ pub fn run_server_with<R: Rng>(
     };
     let absorb = |summary: crate::session::ServerConvSummary, report: &mut ServerReport| {
         report.counts.merge(&summary.counts);
-        if let Some(s) = &summary.stream {
-            report.stream.accumulate(s);
-        }
+        report.stream.accumulate(&summary.stream);
         report.input_cts += summary.input_cts;
         report.output_cts += summary.output_cts;
         summary.server_shares
@@ -548,7 +533,7 @@ pub fn run_server_with<R: Rng>(
 
     // conv1 — the batch width arrives with the client's Setup.
     let shares1 = absorb(
-        serve_conv_with(ctx, transport, &cnn.conv1, backend, opts, rng)?,
+        serve_conv(ctx, transport, &cnn.conv1, cfg, opts, rng)?,
         &mut report,
     );
     let batch = shares1.len();
@@ -580,7 +565,7 @@ pub fn run_server_with<R: Rng>(
 
     // conv2 — same batch width.
     let shares2 = absorb(
-        serve_conv_with(ctx, transport, &cnn.conv2, backend, opts, rng)?,
+        serve_conv(ctx, transport, &cnn.conv2, cfg, opts, rng)?,
         &mut report,
     );
     if shares2.len() != batch {
@@ -627,13 +612,12 @@ pub fn run_server_with<R: Rng>(
 mod tests {
     use super::*;
     use crate::executor::Executor;
-    use crate::stream::StreamConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spot_he::params::{EncryptionParams, ParamLevel};
     use spot_proto::transport::MemTransport;
 
-    fn run_pair(backend: ExecBackend, scheme: SchemeKind) -> (Tensor, Tensor) {
+    fn run_pair(cfg: StreamConfig, scheme: SchemeKind) -> (Tensor, Tensor) {
         let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
         let cnn = TinyCnn::new(7);
         let input = Tensor::random(2, 8, 8, 5, 9);
@@ -643,7 +627,7 @@ mod tests {
         let cnn_s = cnn.clone();
         let server = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(1312);
-            run_server(&ctx_s, &st, &cnn_s, &backend, &mut rng)
+            run_server(&ctx_s, &st, &cnn_s, &cfg, ServeOptions::default(), &mut rng)
         });
         let mut rng = StdRng::seed_from_u64(99);
         let kg = KeyGenerator::new(&ctx, &mut rng);
@@ -673,15 +657,15 @@ mod tests {
             SchemeKind::Cheetah,
             SchemeKind::Spot,
         ] {
-            let (got, want) = run_pair(ExecBackend::Phased(Executor::serial()), scheme);
+            let (got, want) = run_pair(StreamConfig::new(Executor::serial(), 2), scheme);
             assert_eq!(got, want, "scheme {scheme:?}");
         }
     }
 
     #[test]
-    fn twoparty_streaming_backend_matches_plain() {
+    fn twoparty_two_worker_stream_matches_plain() {
         let cfg = StreamConfig::new(Executor::new(2), 2);
-        let (got, want) = run_pair(ExecBackend::Streaming(cfg), SchemeKind::Spot);
+        let (got, want) = run_pair(cfg, SchemeKind::Spot);
         assert_eq!(got, want);
     }
 
@@ -694,10 +678,10 @@ mod tests {
         let (ct, st) = MemTransport::pair();
         let ctx_s = Arc::clone(&ctx);
         let cnn_s = cnn.clone();
-        let backend = ExecBackend::Phased(Executor::serial());
+        let cfg = StreamConfig::new(Executor::serial(), 2);
         let server = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(1312);
-            run_server(&ctx_s, &st, &cnn_s, &backend, &mut rng)
+            run_server(&ctx_s, &st, &cnn_s, &cfg, ServeOptions::default(), &mut rng)
         });
         let mut rng = StdRng::seed_from_u64(99);
         let kg = KeyGenerator::new(&ctx, &mut rng);

@@ -20,9 +20,9 @@ use spot_core::error::SpotError;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    run_in_process, serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    run_in_process, serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
-use spot_core::stream::BatchAssembler;
+use spot_core::stream::{BatchAssembler, StreamConfig};
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
 use spot_he::keys::KeyGenerator;
@@ -62,7 +62,7 @@ fn test_kernel() -> Kernel {
     Kernel::random(4, 2, 3, 3, 3, 41)
 }
 
-/// One batched phased session over a `MemTransport` pair; returns
+/// One batched one-worker session over a `MemTransport` pair; returns
 /// per-image client shares, per-image server shares and the
 /// whole-batch operation counts.
 fn run_batched(
@@ -79,8 +79,9 @@ fn run_batched(
     conv.send_all(&ct, inputs, UploadPacing::Eager, &mut crng)
         .expect("upload");
     let mut srng = StdRng::seed_from_u64(server_seed);
-    let backend = ExecBackend::Phased(Executor::serial());
-    let summary = serve_conv(ctx, &st, kernel, &backend, &mut srng).expect("serve");
+    let cfg = StreamConfig::new(Executor::serial(), 2);
+    let summary =
+        serve_conv(ctx, &st, kernel, &cfg, ServeOptions::default(), &mut srng).expect("serve");
     let shares = conv.absorb_all(&ct, inputs.len()).expect("absorb");
     (shares.shares, summary.server_shares, summary.counts)
 }
@@ -231,8 +232,16 @@ fn batched_shares_identical_over_tcp() {
         let (stream, _) = listener.accept().expect("accept");
         let transport = TcpTransport::from_stream(stream).expect("wrap stream");
         let mut rng = StdRng::seed_from_u64(555);
-        let backend = ExecBackend::Phased(Executor::serial());
-        serve_conv(&ctx_s, &transport, &kernel_s, &backend, &mut rng).expect("serve over tcp")
+        let cfg = StreamConfig::new(Executor::serial(), 2);
+        serve_conv(
+            &ctx_s,
+            &transport,
+            &kernel_s,
+            &cfg,
+            ServeOptions::default(),
+            &mut rng,
+        )
+        .expect("serve over tcp")
     });
 
     let transport = TcpTransport::connect(addr.to_string()).expect("connect");
@@ -281,7 +290,7 @@ fn assembler_coalesced_batch_reconstructs_per_image() {
         (4, 4),
         PatchMode::Tweaked,
         SchemeKind::Spot,
-        &ExecBackend::Phased(Executor::serial()),
+        &StreamConfig::new(Executor::serial(), 2),
         &mut rng,
     )
     .expect("batched session");

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
@@ -64,7 +64,7 @@ fn run_session(
     spec: LayerSpec,
     kernel: &Kernel,
     input: &Tensor,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     client_t: &dyn Transport,
     server_t: &dyn Transport,
 ) -> MetricsRun {
@@ -86,7 +86,15 @@ fn run_session(
             conv.absorb_all(client_t, 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
+        serve_conv(
+            ctx,
+            server_t,
+            kernel,
+            cfg,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         client.join().expect("client thread")
     });
     let snap = metrics::global().snapshot().delta(&baseline);
@@ -99,14 +107,14 @@ fn run_session(
 
 fn run_mem(scheme: SchemeKind, threads: usize) -> MetricsRun {
     let (ctx, spec, kernel, input) = fixture(scheme);
-    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), 2));
+    let cfg = StreamConfig::new(Executor::new(threads), 2);
     let (client_t, server_t) = MemTransport::pair();
-    run_session(&ctx, spec, &kernel, &input, &backend, &client_t, &server_t)
+    run_session(&ctx, spec, &kernel, &input, &cfg, &client_t, &server_t)
 }
 
 fn run_tcp(scheme: SchemeKind, threads: usize) -> MetricsRun {
     let (ctx, spec, kernel, input) = fixture(scheme);
-    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), 2));
+    let cfg = StreamConfig::new(Executor::new(threads), 2);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let accept = std::thread::spawn(move || {
@@ -115,7 +123,7 @@ fn run_tcp(scheme: SchemeKind, threads: usize) -> MetricsRun {
     });
     let client_t = TcpTransport::connect(addr.to_string()).expect("connect loopback");
     let server_t = accept.join().expect("accept thread");
-    run_session(&ctx, spec, &kernel, &input, &backend, &client_t, &server_t)
+    run_session(&ctx, spec, &kernel, &input, &cfg, &client_t, &server_t)
 }
 
 fn fixture(scheme: SchemeKind) -> (Arc<Context>, LayerSpec, Kernel, Tensor) {
@@ -181,7 +189,7 @@ fn disabled_registry_stays_empty_through_a_session() {
     metrics::global().reset();
     metrics::disable();
     let (ctx, spec, kernel, input) = fixture(SchemeKind::Spot);
-    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::new(2), 2));
+    let cfg = StreamConfig::new(Executor::new(2), 2);
     let (client_t, server_t) = MemTransport::pair();
     let mut crng = StdRng::seed_from_u64(71);
     let keygen = KeyGenerator::new(&ctx, &mut crng);
@@ -198,7 +206,15 @@ fn disabled_registry_stays_empty_through_a_session() {
             conv.absorb_all(&client_t, 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(&ctx, &server_t, &kernel, &backend, &mut srng).expect("serve_conv");
+        serve_conv(
+            &ctx,
+            &server_t,
+            &kernel,
+            &cfg,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         client.join().expect("client thread")
     });
     let snap = metrics::global().snapshot();

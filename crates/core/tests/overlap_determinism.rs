@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
@@ -77,7 +77,7 @@ fn transports(tcp: bool) -> (Box<dyn Transport>, Box<dyn Transport>) {
 /// `spot-client --trace` / `spot-server --trace` / `trace_merge` flow.
 fn run_traced(scheme: SchemeKind, threads: usize, tcp: bool) -> MergedRun {
     let (ctx, spec, kernel, input) = fixture(scheme);
-    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), 2));
+    let cfg = StreamConfig::new(Executor::new(threads), 2);
     let (client_t, server_t) = transports(tcp);
 
     spot_trace::reset();
@@ -101,7 +101,15 @@ fn run_traced(scheme: SchemeKind, threads: usize, tcp: bool) -> MergedRun {
             share
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(&ctx, server_t.as_ref(), &kernel, &backend, &mut srng).expect("serve_conv");
+        serve_conv(
+            &ctx,
+            server_t.as_ref(),
+            &kernel,
+            &cfg,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         client.join().expect("client thread")
     });
     let events = spot_trace::take_events();
@@ -137,7 +145,7 @@ fn run_traced(scheme: SchemeKind, threads: usize, tcp: bool) -> MergedRun {
 /// context, setup frames keep their 40-byte payload).
 fn run_untraced(scheme: SchemeKind, threads: usize) -> Tensor {
     let (ctx, spec, kernel, input) = fixture(scheme);
-    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), 2));
+    let cfg = StreamConfig::new(Executor::new(threads), 2);
     let (client_t, server_t) = transports(false);
     spot_trace::reset();
     let mut crng = StdRng::seed_from_u64(71);
@@ -155,7 +163,15 @@ fn run_untraced(scheme: SchemeKind, threads: usize) -> Tensor {
             conv.absorb_all(client_t.as_ref(), 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(&ctx, server_t.as_ref(), &kernel, &backend, &mut srng).expect("serve_conv");
+        serve_conv(
+            &ctx,
+            server_t.as_ref(),
+            &kernel,
+            &cfg,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         client.join().expect("client thread")
     });
     share.shares.remove(0)

@@ -9,7 +9,8 @@
 //! 2. **Kernel caches build once per model** — across N concurrent
 //!    full-pipeline sessions through a [`SpotServer`], the summed
 //!    `KernelCacheBuild` counter equals a solo session's builds and
-//!    every later session hits.
+//!    every later session hits, and every served session feeds the
+//!    `/pipeline` overlap ring.
 //! 3. **Cross-session coalescing** — requests from distinct logical
 //!    clients of one tenant ride shared SIMD-slot batches: 6 queued
 //!    requests at batch cap 3 cost exactly 2 upstream sessions and
@@ -22,9 +23,9 @@ use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::serving::{session_seed, ModelContext, ServingConfig, SpotServer, TenantGateway};
 use spot_core::session::{
-    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions,
-    SharedKernelCaches, UploadPacing,
+    serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, SharedKernelCaches, UploadPacing,
 };
+use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -87,8 +88,8 @@ fn run_session(
     let (shares, summary) = std::thread::scope(|s| {
         let server = s.spawn(|| {
             let mut srng = StdRng::seed_from_u64(server_seed);
-            let backend = ExecBackend::Phased(Executor::serial());
-            serve_conv_with(ctx, st, kernel, &backend, opts, &mut srng).expect("serve")
+            let cfg = StreamConfig::new(Executor::serial(), 2);
+            serve_conv(ctx, st, kernel, &cfg, opts, &mut srng).expect("serve")
         });
         conv.send_all(ct, &inputs, UploadPacing::Eager, &mut crng)
             .expect("upload");
@@ -184,12 +185,12 @@ fn concurrent_tcp_sessions_match_solo_shares() {
                     sessions.push(inner.spawn(move || {
                         let st = TcpTransport::from_stream(stream).expect("wrap");
                         let mut srng = StdRng::seed_from_u64(server_seed);
-                        let backend = ExecBackend::Phased(Executor::serial());
-                        serve_conv_with(
+                        let cfg = StreamConfig::new(Executor::serial(), 2);
+                        serve_conv(
                             &ctx,
                             &st,
                             kernel,
-                            &backend,
+                            &cfg,
                             ServeOptions {
                                 shared: Some(shared),
                                 max_batch: None,
@@ -266,6 +267,7 @@ fn spot_server_builds_kernel_caches_once_per_model() {
         assert!(serve_one_mem_client(&server, &ctx, &cnn, 0));
         let builds = server.model().caches().total_entries();
         assert!(builds > 0, "solo session built no kernels");
+        assert_eq!(server.pipeline_recent().len(), server.stats().served);
         builds
     };
 
@@ -325,6 +327,7 @@ fn spot_server_builds_kernel_caches_once_per_model() {
         (stats.served, stats.failed, stats.rejected),
         (SESSIONS, 0, 0)
     );
+    assert_eq!(server.pipeline_recent().len(), SESSIONS);
 }
 
 /// Six single-request clients of one tenant at batch cap 3 coalesce
@@ -390,6 +393,7 @@ fn tenant_gateway_coalesces_across_clients() {
     let stats = server.stats();
     assert_eq!(stats.served, 2, "coalescing should cost 2 sessions, not 6");
     assert_eq!((stats.failed, stats.rejected), (0, 0));
+    assert_eq!(server.pipeline_recent().len(), stats.served);
 }
 
 /// Runs one full-pipeline client against `server` over a fresh

@@ -9,17 +9,19 @@ use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SpotServer};
-use spot_core::session::SchemeKind;
+use spot_core::session::{ClientConv, LayerSpec, SchemeKind, UploadPacing};
 use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::transport::{MemTransport, TcpTransport, TransportStats};
-use spot_proto::{error_code, Transport, WireMessage};
+use spot_proto::{error_code, ProtoError, Transport, WireMessage};
+use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn test_stack() -> (Arc<Context>, TinyCnn) {
@@ -386,6 +388,262 @@ fn slow_loris_times_out_without_harming_neighbors() {
 
     let totals = server.stats();
     assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// finished within `limit` — a hostile-input case must fail its
+/// session, never wedge the server.
+fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(limit) {
+        // Finished, or panicked (the sender dropped): join surfaces it.
+        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("hostile session hung past {limit:?}"),
+    }
+}
+
+/// Client-side transport decorator over an input upload: counts the
+/// `PackedCt`/`AuxCt` frames it forwards and lets `tamper` rewrite or
+/// refuse each one (`Err` stops the upload at that frame).
+struct UploadTamper<'a, F> {
+    inner: &'a dyn Transport,
+    uploads: AtomicUsize,
+    tamper: F,
+}
+
+impl<'a, F> UploadTamper<'a, F>
+where
+    F: Fn(usize, WireMessage) -> Result<WireMessage, ProtoError> + Send + Sync,
+{
+    fn new(inner: &'a dyn Transport, tamper: F) -> Self {
+        Self {
+            inner,
+            uploads: AtomicUsize::new(0),
+            tamper,
+        }
+    }
+}
+
+impl<F> Transport for UploadTamper<'_, F>
+where
+    F: Fn(usize, WireMessage) -> Result<WireMessage, ProtoError> + Send + Sync,
+{
+    fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
+        match msg {
+            WireMessage::PackedCt { .. } | WireMessage::AuxCt { .. } => {
+                let i = self.uploads.fetch_add(1, Ordering::SeqCst);
+                self.inner.send(&(self.tamper)(i, msg.clone())?)
+            }
+            _ => self.inner.send(msg),
+        }
+    }
+
+    fn recv(&self) -> Result<WireMessage, ProtoError> {
+        self.inner.recv()
+    }
+
+    fn close_tx(&self) {
+        self.inner.close_tx();
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// The conv1 layer of `cnn` as the SPOT client plans it.
+fn conv1_spec(cnn: &TinyCnn) -> LayerSpec {
+    LayerSpec {
+        scheme: SchemeKind::Spot,
+        shape: ConvShape {
+            width: 8,
+            height: 8,
+            c_in: 2,
+            c_out: cnn.conv1.out_channels(),
+            k_h: cnn.conv1.k_h(),
+            k_w: cnn.conv1.k_w(),
+            stride: 1,
+        },
+        patch: (4, 4),
+        mode: PatchMode::Tweaked,
+    }
+}
+
+/// A well-framed SPOT input ciphertext whose blob is garbage fails in
+/// the streaming server's pool-side decode: that session alone fails
+/// with a typed HE-deserialization error and its client gets a typed
+/// `PROTOCOL` rejection, while a concurrent neighbor completes and
+/// matches plain.
+#[test]
+fn garbage_ciphertext_blob_fails_only_its_session() {
+    within(Duration::from_secs(300), || {
+        let (ctx, cnn) = test_stack();
+        let server = SpotServer::new(
+            ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+            ServingConfig::default(),
+        );
+        std::thread::scope(|s| {
+            let victim = s.spawn(|| {
+                let (ct, st) = MemTransport::pair();
+                let garbled = UploadTamper::new(&ct, |i, msg| {
+                    Ok(match msg {
+                        WireMessage::PackedCt { seq, .. } if i == 0 => WireMessage::PackedCt {
+                            seq,
+                            blob: b"not a ciphertext".to_vec(),
+                        },
+                        other => other,
+                    })
+                });
+                std::thread::scope(|inner| {
+                    let session = inner.spawn(|| server.serve_connection(&st));
+                    let mut rng = StdRng::seed_from_u64(108);
+                    let kg = KeyGenerator::new(&ctx, &mut rng);
+                    let input = Tensor::random(2, 8, 8, 5, 308);
+                    let err = run_client_batch(
+                        &ctx,
+                        &kg,
+                        &garbled,
+                        std::slice::from_ref(&input),
+                        &cnn,
+                        SchemeKind::Spot,
+                        (4, 4),
+                        PatchMode::Tweaked,
+                        &mut rng,
+                    )
+                    .expect_err("a garbage ciphertext must fail the session");
+                    match err {
+                        SpotError::Rejected { code, .. } => assert_eq!(code, error_code::PROTOCOL),
+                        other => panic!("expected a typed PROTOCOL rejection, got {other}"),
+                    }
+                    let report = session.join().expect("victim session thread");
+                    match report.result {
+                        Err(SpotError::Serial(_)) => {}
+                        other => panic!("expected an HE deserialization error, got {other:?}"),
+                    }
+                });
+            });
+            let neighbor = s.spawn(|| {
+                let (ct, st) = MemTransport::pair();
+                std::thread::scope(|inner| {
+                    let session = inner.spawn(|| server.serve_connection(&st));
+                    let (out, _) = well_behaved_client(&ctx, &cnn, &ct, 8);
+                    let input = Tensor::random(2, 8, 8, 5, 308);
+                    assert_eq!(out[0], cnn.forward_plain(&input));
+                    session
+                        .join()
+                        .expect("neighbor session thread")
+                        .result
+                        .expect("neighbor session");
+                });
+            });
+            victim.join().expect("victim");
+            neighbor.join().expect("neighbor");
+        });
+        let totals = server.stats();
+        assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
+    });
+}
+
+/// A client that hangs up mid-upload (Setup, rotation keys and its
+/// first input ciphertext sent, then the socket closed) fails only its
+/// own session with a typed transport error; a concurrent neighbor
+/// completes and matches plain.
+#[test]
+fn client_hangup_mid_upload_fails_only_its_session() {
+    within(Duration::from_secs(300), || {
+        let (ctx, cnn) = test_stack();
+        let server = Arc::new(SpotServer::new(
+            ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+            ServingConfig::default(),
+        ));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+
+        let reports = std::thread::scope(|s| {
+            let acceptor = s.spawn(|| {
+                std::thread::scope(|inner| {
+                    let sessions: Vec<_> = (0..2)
+                        .map(|_| {
+                            let (stream, _) = listener.accept().expect("accept");
+                            let server = Arc::clone(&server);
+                            inner.spawn(move || {
+                                let st = TcpTransport::from_stream(stream).expect("wrap");
+                                server.serve_connection(&st)
+                            })
+                        })
+                        .collect();
+                    sessions
+                        .into_iter()
+                        .map(|h| h.join().expect("session thread"))
+                        .collect::<Vec<_>>()
+                })
+            });
+
+            // The quitter: a real conv1 upload cut after one of its
+            // input ciphertexts, then the connection dropped.
+            {
+                let ct = TcpTransport::connect(addr.to_string()).expect("connect quitter");
+                let mut rng = StdRng::seed_from_u64(109);
+                let kg = KeyGenerator::new(&ctx, &mut rng);
+                let conv = ClientConv::new(&ctx, &kg, conv1_spec(&cnn)).expect("plan conv1");
+                assert!(
+                    conv.input_cts(1) > 1,
+                    "conv1 must upload several ciphertexts"
+                );
+                let cut = UploadTamper::new(&ct, |i, msg| {
+                    if i == 0 {
+                        Ok(msg)
+                    } else {
+                        Err(ProtoError::Disconnected)
+                    }
+                });
+                let input = Tensor::random(2, 8, 8, 5, 309);
+                conv.send_all(
+                    &cut,
+                    std::slice::from_ref(&input),
+                    UploadPacing::Eager,
+                    &mut rng,
+                )
+                .expect_err("the cut upload stops");
+            }
+
+            let input = Tensor::random(2, 8, 8, 5, 310);
+            let ct = TcpTransport::connect(addr.to_string()).expect("connect neighbor");
+            let mut rng = StdRng::seed_from_u64(110);
+            let kg = KeyGenerator::new(&ctx, &mut rng);
+            let out = run_client_batch(
+                &ctx,
+                &kg,
+                &ct,
+                std::slice::from_ref(&input),
+                &cnn,
+                SchemeKind::Spot,
+                (4, 4),
+                PatchMode::Tweaked,
+                &mut rng,
+            )
+            .expect("neighbor client");
+            assert_eq!(out[0], cnn.forward_plain(&input));
+            acceptor.join().expect("acceptor")
+        });
+
+        let failed: Vec<_> = reports.iter().filter(|r| r.result.is_err()).collect();
+        assert_eq!(failed.len(), 1, "exactly the quitter's session fails");
+        match &failed[0].result {
+            Err(SpotError::Proto(_)) => {}
+            other => panic!("expected a typed transport error, got {other:?}"),
+        }
+        let totals = server.stats();
+        assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
+    });
 }
 
 /// Garbage (and worse: silence) on the admin port cannot wedge its

@@ -1,11 +1,11 @@
 //! Golden wire transcripts for one conv session per scheme.
 //!
 //! Every other byte-level check compares two paths of the same build
-//! (phased vs streamed, Mem vs TCP, batched vs unbatched), so a change
-//! that moved both sides together would go unnoticed. This test pins
-//! absolute values instead: FNV-1a-64 digests of every framed message
-//! in each direction, and of the shares both parties end up with, for
-//! fixed seeds on the phased serial backend at N4096.
+//! (1 vs 8 server threads, Mem vs TCP, batched vs unbatched), so a
+//! change that moved both sides together would go unnoticed. This test
+//! pins absolute values instead: FNV-1a-64 digests of every framed
+//! message in each direction, and of the shares both parties end up
+//! with, for fixed seeds on a one-worker server stream at N4096.
 //!
 //! * B = 1: uplink digest, downlink digest, client and server share
 //!   digests.
@@ -20,8 +20,9 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
+use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -134,7 +135,7 @@ struct Transcript {
     server_shares: u64,
 }
 
-/// One phased serial session of `batch` images (`None` = the layer's
+/// One one-worker streamed session of `batch` images (`None` = the layer's
 /// batch capacity) with fixed key, client and server seeds.
 fn record(scheme: SchemeKind, batch: Option<usize>) -> Transcript {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
@@ -150,8 +151,16 @@ fn record(scheme: SchemeKind, batch: Option<usize>) -> Transcript {
     conv.send_all(&rec, &inputs, UploadPacing::Eager, &mut crng)
         .expect("upload");
     let mut srng = StdRng::seed_from_u64(3100);
-    let backend = ExecBackend::Phased(Executor::serial());
-    let summary = serve_conv(&ctx, &st, &test_kernel(), &backend, &mut srng).expect("serve");
+    let cfg = StreamConfig::new(Executor::serial(), 2);
+    let summary = serve_conv(
+        &ctx,
+        &st,
+        &test_kernel(),
+        &cfg,
+        ServeOptions::default(),
+        &mut srng,
+    )
+    .expect("serve");
     let client = conv.absorb_all(&rec, batch).expect("absorb");
 
     let (uplink, downlink) = rec.digests();

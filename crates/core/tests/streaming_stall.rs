@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::inference::{run_conv_backend, ExecBackend, Scheme};
+use spot_core::inference::{run_conv_backend, Scheme};
 use spot_core::patching::PatchMode;
 use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
@@ -43,10 +43,9 @@ fn spot_server_idle_below_channelwise_on_table1_layer() {
         (0, 0),
         PatchMode::Vanilla,
         Scheme::CrypTFlow2,
-        &ExecBackend::Streaming(cfg),
+        &cfg,
         &mut rng,
     );
-    let cw_stats = cw_stats.expect("streaming backend reports stats");
     assert!(
         cw_res[0].input_cts >= 2,
         "layer must need several uploads to expose the stall, got {}",
@@ -63,10 +62,9 @@ fn spot_server_idle_below_channelwise_on_table1_layer() {
         (4, 4),
         PatchMode::Tweaked,
         Scheme::Spot,
-        &ExecBackend::Streaming(cfg),
+        &cfg,
         &mut rng,
     );
-    let spot_stats = spot_stats.expect("streaming backend reports stats");
     assert!(spot_res[0].input_cts >= 2);
 
     assert!(

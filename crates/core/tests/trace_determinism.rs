@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
@@ -90,7 +90,7 @@ fn run_session(
     spec: LayerSpec,
     kernel: &Kernel,
     input: &Tensor,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     client_t: &dyn Transport,
     server_t: &dyn Transport,
 ) -> TraceRun {
@@ -114,7 +114,15 @@ fn run_session(
             share
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
+        serve_conv(
+            ctx,
+            server_t,
+            kernel,
+            cfg,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         client.join().expect("client thread")
     });
     let counters = spot_trace::counters().delta(&baseline);
@@ -129,14 +137,14 @@ fn run_session(
 
 fn run_mem(scheme: SchemeKind, threads: usize) -> TraceRun {
     let (ctx, spec, kernel, input) = fixture(scheme);
-    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), 2));
+    let cfg = StreamConfig::new(Executor::new(threads), 2);
     let (client_t, server_t) = MemTransport::pair();
-    run_session(&ctx, spec, &kernel, &input, &backend, &client_t, &server_t)
+    run_session(&ctx, spec, &kernel, &input, &cfg, &client_t, &server_t)
 }
 
 fn run_tcp(scheme: SchemeKind, threads: usize) -> TraceRun {
     let (ctx, spec, kernel, input) = fixture(scheme);
-    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), 2));
+    let cfg = StreamConfig::new(Executor::new(threads), 2);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let accept = std::thread::spawn(move || {
@@ -145,7 +153,7 @@ fn run_tcp(scheme: SchemeKind, threads: usize) -> TraceRun {
     });
     let client_t = TcpTransport::connect(addr.to_string()).expect("connect loopback");
     let server_t = accept.join().expect("accept thread");
-    run_session(&ctx, spec, &kernel, &input, &backend, &client_t, &server_t)
+    run_session(&ctx, spec, &kernel, &input, &cfg, &client_t, &server_t)
 }
 
 fn fixture(scheme: SchemeKind) -> (Arc<Context>, LayerSpec, Kernel, Tensor) {

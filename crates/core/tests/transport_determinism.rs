@@ -1,15 +1,15 @@
 //! Cross-transport determinism: one secure-convolution session run
 //! over an in-memory `MemTransport` pair and over a real TCP loopback
 //! socket must produce bit-identical client/server shares, operation
-//! counts, and framed traffic accounting — for every scheme, both
-//! execution backends, at 1 and 8 server worker threads.
+//! counts, and framed traffic accounting — for every scheme, at 1 and
+//! 8 server worker threads.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv, ClientConv, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
@@ -43,7 +43,7 @@ fn run_session(
     spec: LayerSpec,
     kernel: &Kernel,
     input: &Tensor,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
     client_t: &dyn Transport,
     server_t: &dyn Transport,
 ) -> Outcome {
@@ -62,7 +62,15 @@ fn run_session(
             conv.absorb_all(client_t, 1).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(SERVER_SEED);
-        let summary = serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
+        let summary = serve_conv(
+            ctx,
+            server_t,
+            kernel,
+            cfg,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         (client.join().expect("client thread"), summary)
     });
     let stats = client_t.stats();
@@ -82,10 +90,10 @@ fn run_mem(
     spec: LayerSpec,
     kernel: &Kernel,
     input: &Tensor,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
 ) -> Outcome {
     let (client_t, server_t) = MemTransport::pair();
-    run_session(ctx, spec, kernel, input, backend, &client_t, &server_t)
+    run_session(ctx, spec, kernel, input, cfg, &client_t, &server_t)
 }
 
 fn run_tcp(
@@ -93,7 +101,7 @@ fn run_tcp(
     spec: LayerSpec,
     kernel: &Kernel,
     input: &Tensor,
-    backend: &ExecBackend,
+    cfg: &StreamConfig,
 ) -> Outcome {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
@@ -103,10 +111,12 @@ fn run_tcp(
     });
     let client_t = TcpTransport::connect(addr.to_string()).expect("connect loopback");
     let server_t = accept.join().expect("accept thread");
-    run_session(ctx, spec, kernel, input, backend, &client_t, &server_t)
+    run_session(ctx, spec, kernel, input, cfg, &client_t, &server_t)
 }
 
-fn assert_transport_invariant(scheme: SchemeKind, backend: &ExecBackend, tag: &str) {
+fn assert_transport_invariant(scheme: SchemeKind, threads: usize) {
+    let tag = format!("{scheme:?}/{threads}t");
+    let cfg = &StreamConfig::new(Executor::new(threads), 2);
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let spec = LayerSpec {
         scheme,
@@ -117,8 +127,8 @@ fn assert_transport_invariant(scheme: SchemeKind, backend: &ExecBackend, tag: &s
     let input = Tensor::random(3, 8, 8, 6, 23);
     let kernel = Kernel::random(2, 3, 3, 3, 3, 24);
 
-    let mem = run_mem(&ctx, spec, &kernel, &input, backend);
-    let tcp = run_tcp(&ctx, spec, &kernel, &input, backend);
+    let mem = run_mem(&ctx, spec, &kernel, &input, cfg);
+    let tcp = run_tcp(&ctx, spec, &kernel, &input, cfg);
 
     assert_eq!(
         mem.client_share, tcp.client_share,
@@ -162,19 +172,6 @@ fn assert_transport_invariant(scheme: SchemeKind, backend: &ExecBackend, tag: &s
     );
 }
 
-fn all_backends(threads: usize) -> Vec<(ExecBackend, String)> {
-    vec![
-        (
-            ExecBackend::Phased(Executor::new(threads)),
-            format!("phased/{threads}t"),
-        ),
-        (
-            ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), 2)),
-            format!("streaming/{threads}t"),
-        ),
-    ]
-}
-
 #[test]
 fn mem_and_tcp_agree_single_thread() {
     for scheme in [
@@ -182,9 +179,7 @@ fn mem_and_tcp_agree_single_thread() {
         SchemeKind::Channelwise,
         SchemeKind::Cheetah,
     ] {
-        for (backend, name) in all_backends(1) {
-            assert_transport_invariant(scheme, &backend, &format!("{scheme:?}/{name}"));
-        }
+        assert_transport_invariant(scheme, 1);
     }
 }
 
@@ -195,8 +190,6 @@ fn mem_and_tcp_agree_eight_threads() {
         SchemeKind::Channelwise,
         SchemeKind::Cheetah,
     ] {
-        for (backend, name) in all_backends(8) {
-            assert_transport_invariant(scheme, &backend, &format!("{scheme:?}/{name}"));
-        }
+        assert_transport_invariant(scheme, 8);
     }
 }

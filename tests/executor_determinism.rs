@@ -1,6 +1,6 @@
 //! Thread-count determinism: every secure convolution scheme must
-//! produce **bit-identical** results whether the server's parallel conv
-//! executor runs on one thread or eight. The protocol draws all
+//! produce **bit-identical** results whether the server's streaming
+//! conv workers run on one thread or eight. The protocol draws all
 //! randomness on the calling thread in a fixed order; the parallel
 //! phase is pure, and outputs are reassembled in job order — so shares,
 //! op counts, and ciphertext tallies must match exactly, not just
@@ -10,8 +10,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot::core::channelwise::SecureConvResult;
 use spot::core::executor::Executor;
-use spot::core::inference::{run_conv_backend, ExecBackend, Scheme};
+use spot::core::inference::{run_conv_backend, Scheme};
 use spot::core::patching::PatchMode;
+use spot::core::stream::StreamConfig;
 use spot::he::prelude::*;
 use spot::tensor::{conv2d, Kernel, Tensor};
 use std::sync::Arc;
@@ -20,10 +21,10 @@ fn ctx() -> Arc<spot::he::context::Context> {
     spot::he::context::Context::new(EncryptionParams::new(ParamLevel::N4096))
 }
 
-/// One phased session of `scheme` with the server's convolutions on
+/// One streamed session of `scheme` with the server's convolutions on
 /// `ex`'s worker pool.
 #[allow(clippy::too_many_arguments)]
-fn phased(
+fn streamed(
     ctx: &Arc<spot::he::context::Context>,
     kg: &KeyGenerator,
     input: &Tensor,
@@ -43,7 +44,7 @@ fn phased(
         patch,
         mode,
         scheme,
-        &ExecBackend::Phased(*ex),
+        &StreamConfig::new(*ex, 2),
         rng,
     );
     results.remove(0)
@@ -82,7 +83,7 @@ fn spot_vanilla_is_thread_count_invariant() {
     let input = Tensor::random(4, 12, 12, 6, 11);
     let kernel = Kernel::random(4, 4, 3, 3, 4, 12);
     let res = assert_identical(41, |ctx, kg, ex, rng| {
-        phased(
+        streamed(
             ctx,
             kg,
             &input,
@@ -102,7 +103,7 @@ fn spot_tweaked_is_thread_count_invariant() {
     let input = Tensor::random(4, 12, 12, 6, 21);
     let kernel = Kernel::random(8, 4, 3, 3, 4, 22);
     let res = assert_identical(42, |ctx, kg, ex, rng| {
-        phased(
+        streamed(
             ctx,
             kg,
             &input,
@@ -122,7 +123,7 @@ fn channelwise_is_thread_count_invariant() {
     let input = Tensor::random(8, 8, 8, 6, 31);
     let kernel = Kernel::random(4, 8, 3, 3, 4, 32);
     let res = assert_identical(43, |ctx, kg, ex, rng| {
-        phased(
+        streamed(
             ctx,
             kg,
             &input,
@@ -142,7 +143,7 @@ fn cheetah_is_thread_count_invariant() {
     let input = Tensor::random(16, 16, 16, 4, 51);
     let kernel = Kernel::random(4, 16, 3, 3, 3, 52);
     let res = assert_identical(44, |ctx, kg, ex, rng| {
-        phased(
+        streamed(
             ctx,
             kg,
             &input,
